@@ -4,8 +4,12 @@
 //! per schedule segment (each with its own subject variation) and exposes the whole
 //! timeline as a single [`SignalSource`].  Segment boundaries are cross-faded over a
 //! short transition window so the trace has no unphysical discontinuities.
+//!
+//! Box averages over the trace use each segment's closed form wherever an
+//! averaging span lies inside one segment and clear of its cross-fade; spans
+//! touching a boundary or a cross-fade are sampled on the internal grid.
 
-use adasense_sensor::SignalSource;
+use adasense_sensor::{box_average_by_sampling, SignalSource};
 use rand::Rng;
 
 use crate::activity::Activity;
@@ -14,6 +18,10 @@ use crate::signal::{ActivitySignal, ActivitySignalModel, SubjectParams};
 
 /// Duration of the cross-fade between consecutive segments, in seconds.
 const TRANSITION_S: f64 = 0.4;
+/// Margin, in seconds, by which an averaging span must clear a segment
+/// boundary or cross-fade edge to use the segment's closed form — far above
+/// the rounding of the grid instants, far below the internal sampling period.
+const EDGE_GUARD_S: f64 = 1e-9;
 
 /// A continuous acceleration trace realizing an [`ActivitySchedule`].
 #[derive(Debug, Clone)]
@@ -96,11 +104,45 @@ impl ActivityTrace {
         }
         current
     }
+
+    /// The segment whose signal alone determines [`value`](Self::value) on the
+    /// whole span `[t − span, t]`, or `None` when the span touches a segment
+    /// boundary or cross-fade (or the trace is empty).
+    fn clean_segment(&self, t: f64, span: f64) -> Option<usize> {
+        if self.segments.is_empty() {
+            return None;
+        }
+        let first = t - span;
+        let i = self.segment_index_at(first);
+        let clear_from = if i == 0 { f64::NEG_INFINITY } else { self.segments[i].0 + TRANSITION_S };
+        let clear_until = self.segments.get(i + 1).map_or(f64::INFINITY, |(start, _)| *start);
+        (first >= clear_from + EDGE_GUARD_S && t < clear_until - EDGE_GUARD_S).then_some(i)
+    }
 }
 
 impl SignalSource for ActivityTrace {
     fn sample(&self, t: f64) -> [f64; 3] {
         self.value(t)
+    }
+
+    /// Splits the run into maximal stretches of outputs whose averaging spans
+    /// share one clean segment (each averaged by that segment's closed form)
+    /// and stretches touching a boundary or cross-fade (sampled on the grid).
+    fn box_average_run(&self, t0: f64, period: f64, n: usize, dt: f64, out: &mut [[f64; 3]]) {
+        let span = (n - 1) as f64 * dt;
+        let segment_of = |k: usize| self.clean_segment(t0 + k as f64 * period, span);
+        let mut k = 0;
+        while k < out.len() {
+            let segment = segment_of(k);
+            let end = (k + 1..out.len()).find(|&e| segment_of(e) != segment).unwrap_or(out.len());
+            let stretch_t0 = t0 + k as f64 * period;
+            let stretch = &mut out[k..end];
+            match segment {
+                Some(i) => self.segments[i].1.box_average_run(stretch_t0, period, n, dt, stretch),
+                None => box_average_by_sampling(self, stretch_t0, period, n, dt, stretch),
+            }
+            k = end;
+        }
     }
 }
 

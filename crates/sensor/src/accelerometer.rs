@@ -3,20 +3,27 @@
 //! [`Accelerometer`] turns a continuous analog [`SignalSource`] into the digital
 //! sample stream a real IMU would produce under a given [`SensorConfig`]:
 //!
-//! 1. For every output sample (at the configured output data rate) it evaluates the
-//!    analog signal at `averaging_window` points spaced by the internal sampling
-//!    period and averages them — exactly the BMI160's under-sampling averaging.
-//!    Because there is no anti-aliasing filter beyond this averaging, low output
-//!    rates genuinely alias high-frequency activity content, which is one of the two
-//!    physical accuracy-degradation mechanisms the paper relies on.
+//! 1. For every output sample (at the configured output data rate) it averages the
+//!    analog signal over `averaging_window` points spaced by the internal sampling
+//!    period — exactly the BMI160's under-sampling averaging.  Because there is no
+//!    anti-aliasing filter beyond this averaging, low output rates genuinely alias
+//!    high-frequency activity content, which is one of the two physical
+//!    accuracy-degradation mechanisms the paper relies on.  The averages of a whole
+//!    window come from one [`SignalSource::box_average_run`] call: the activity
+//!    models of `adasense-data` answer it with the exact closed form of the box
+//!    average (a Dirichlet factor per sinusoid), falling back to sampling the
+//!    internal grid ([`box_average_by_sampling`]) only where an averaging span
+//!    crosses a segment cross-fade.
 //! 2. It adds averaging-dependent Gaussian measurement noise (the other mechanism).
 //! 3. It quantizes to the 16-bit ±2 g range of the BMI160.
+
+use std::cell::Cell;
 
 use rand::Rng;
 
 use crate::config::SensorConfig;
 use crate::energy::{Charge, EnergyModel};
-use crate::noise::NoiseModel;
+use crate::noise::{scaled_gaussian, NoiseModel};
 use crate::sample::Sample3;
 
 /// A continuous 3-axis acceleration signal, in g, defined for any time `t` (seconds).
@@ -26,6 +33,19 @@ use crate::sample::Sample3;
 pub trait SignalSource {
     /// The analog acceleration at time `t` seconds, as `[x, y, z]` in g.
     fn sample(&self, t: f64) -> [f64; 3];
+
+    /// Box averages for a run of equally spaced output samples: `out[k]` is the
+    /// mean of [`sample`](Self::sample) at the `n` instants
+    /// `t0 + k × period − j × dt`, `j = 0..n` — the BMI160's under-sampling
+    /// average of `n ≥ 1` internal samples `dt` apart ending at output instant `k`.
+    ///
+    /// The default samples the signal on the internal grid
+    /// ([`box_average_by_sampling`]).  Sources with an analytic form override it
+    /// with a closed form that must agree with the default to floating-point
+    /// accuracy.
+    fn box_average_run(&self, t0: f64, period: f64, n: usize, dt: f64, out: &mut [[f64; 3]]) {
+        box_average_by_sampling(self, t0, period, n, dt, out);
+    }
 }
 
 impl<F> SignalSource for F
@@ -131,18 +151,10 @@ impl Accelerometer {
     /// sensing loop of a streaming runtime allocation-free once the buffer has
     /// grown to the largest window size.
     ///
-    /// When the output period is an integer multiple of the internal sampling
-    /// period (true for every BMI160 configuration: 1600 Hz internal clock,
-    /// power-of-two output rates), the averaging windows of consecutive output
-    /// samples overlap on a shared internal time grid.  This method evaluates
-    /// each grid point **once** and reuses it across the overlapping windows —
-    /// for the F100/A128 configuration that is 3,328 analog evaluations per
-    /// 2-second window instead of 25,600, which is where most of a simulated
-    /// device tick used to go.  Internal instants are laid out as
-    /// `start + m × internal_period` for integer `m`, so the analog signal is
-    /// probed at the same physical times as the per-sample path up to
-    /// floating-point association; the noise and quantization stages (and the
-    /// RNG draw order) are identical.
+    /// The averaging stage is one [`SignalSource::box_average_run`] call for the
+    /// whole window, so a source with a closed form (the activity models of
+    /// `adasense-data`) never walks the internal grid; the noise and
+    /// quantization stages then run per sample in a fixed RNG draw order.
     pub fn capture_into<S, R>(
         &self,
         source: &S,
@@ -156,63 +168,19 @@ impl Accelerometer {
     {
         out.clear();
         let count = self.config.frequency.samples_in(duration);
-        out.reserve(count);
         let period = self.config.frequency.period_s();
-        let internal_period = 1.0 / self.energy.internal_rate_hz;
-        let stride_f = period * self.energy.internal_rate_hz;
-        let stride = stride_f.round();
-        let n_avg = self.config.averaging.samples() as usize;
-        let overlapping =
-            stride >= 1.0 && (stride_f - stride).abs() < 1e-9 && (stride as usize) < n_avg;
-        if !overlapping {
-            // Either the output rate is not grid-aligned with the internal
-            // clock (custom energy model), or consecutive averaging windows
-            // don't overlap (stride ≥ n_avg) so every internal instant is used
-            // exactly once anyway: average each output sample independently.
-            for k in 0..count {
-                let t = start + k as f64 * period;
-                out.push(self.read_at(source, t, rng));
-            }
-            return;
-        }
-        let stride = stride as usize;
-        let mode = self.energy.operation_mode(self.config);
-        let inv = 1.0 / self.config.averaging.samples() as f64;
-
-        GRID.with(|cell| {
-            let grid = &mut *cell.borrow_mut();
-            // Internal grid instant `m` is `start + m × internal_period`;
-            // output sample `k` (at `start + k × period`) averages the `n_avg`
-            // instants `m = k×stride − (n_avg−1) ..= k×stride`, oldest first —
-            // the same window and summation order as [`Accelerometer::read_at`].
-            let grid_len = count.saturating_sub(1) * stride + n_avg;
-            grid.clear();
-            grid.reserve(grid_len);
-            for g in 0..grid_len {
-                let m = g as i64 - (n_avg as i64 - 1);
-                let t = start + m as f64 * internal_period;
-                grid.push(source.sample(t));
-            }
-            for k in 0..count {
-                let t = start + k as f64 * period;
-                let mut acc = [0.0f64; 3];
-                for v in &grid[k * stride..k * stride + n_avg] {
-                    acc[0] += v[0];
-                    acc[1] += v[1];
-                    acc[2] += v[2];
-                }
-                let mut axes = [acc[0] * inv, acc[1] * inv, acc[2] * inv];
-                for axis in &mut axes {
-                    *axis += self.noise.sample(self.config, mode, rng);
-                }
-                if self.quantize {
-                    for axis in &mut axes {
-                        *axis = quantize(*axis);
-                    }
-                }
-                out.push(Sample3::new(t, axes[0], axes[1], axes[2]));
-            }
-        });
+        let mut means = MEANS.take();
+        means.clear();
+        means.resize(count, [0.0; 3]);
+        source.box_average_run(start, period, self.averaging(), self.internal_period(), &mut means);
+        let noise_std = self.noise_std();
+        out.extend(
+            means
+                .iter()
+                .enumerate()
+                .map(|(k, &mean)| self.finish(start + k as f64 * period, mean, noise_std, rng)),
+        );
+        MEANS.set(means);
     }
 
     /// Produces the single output sample the sensor would report at time `t`.
@@ -221,43 +189,117 @@ impl Accelerometer {
         S: SignalSource + ?Sized,
         R: Rng + ?Sized,
     {
-        let n_avg = self.config.averaging.samples();
-        let internal_period = 1.0 / self.energy.internal_rate_hz;
-        let mode = self.energy.operation_mode(self.config);
+        let mut mean = [0.0; 3];
+        source.box_average_run(
+            t,
+            self.config.frequency.period_s(),
+            self.averaging(),
+            self.internal_period(),
+            std::slice::from_mut(&mut mean),
+        );
+        self.finish(t, mean, self.noise_std(), rng)
+    }
 
-        // Average the analog signal over the `n_avg` internal samples that precede
-        // the output instant.
-        let mut acc = [0.0f64; 3];
-        for i in 0..n_avg {
-            let ti = t - f64::from(n_avg - 1 - i) * internal_period;
-            let v = source.sample(ti);
-            acc[0] += v[0];
-            acc[1] += v[1];
-            acc[2] += v[2];
-        }
-        let inv = 1.0 / f64::from(n_avg);
-        let mut axes = [acc[0] * inv, acc[1] * inv, acc[2] * inv];
+    fn averaging(&self) -> usize {
+        self.config.averaging.samples() as usize
+    }
 
-        // Additive measurement noise (already scaled for the averaging window).
+    fn internal_period(&self) -> f64 {
+        1.0 / self.energy.internal_rate_hz
+    }
+
+    /// Output noise standard deviation of the current configuration, computed
+    /// once per capture rather than once per draw.
+    fn noise_std(&self) -> f64 {
+        self.noise.output_noise_std_for(self.config, self.energy.operation_mode(self.config))
+    }
+
+    /// Adds measurement noise to an averaged reading (x, y, z draws in that
+    /// order) and quantizes it to the saturating 16-bit ±2 g output.
+    fn finish<R>(&self, t: f64, mean: [f64; 3], noise_std: f64, rng: &mut R) -> Sample3
+    where
+        R: Rng + ?Sized,
+    {
+        let mut axes = mean;
         for axis in &mut axes {
-            *axis += self.noise.sample(self.config, mode, rng);
-        }
-
-        // Saturating 16-bit quantization over ±2 g.
-        if self.quantize {
-            for axis in &mut axes {
+            *axis += scaled_gaussian(noise_std, rng);
+            if self.quantize {
                 *axis = quantize(*axis);
             }
         }
-
         Sample3::new(t, axes[0], axes[1], axes[2])
     }
 }
 
+/// Box-averages `source` on the internal sampling grid — the reference
+/// implementation behind [`SignalSource::box_average_run`].
+///
+/// `out[k]` becomes the mean of `source.sample(t0 + k × period − j × dt)` over
+/// `j = 0..n`, summed oldest first.  When `period` is an integer multiple of
+/// `dt` smaller than the averaging span (true for every overlapping BMI160
+/// configuration: 1600 Hz internal clock, power-of-two output rates), the
+/// averaging spans of consecutive outputs overlap on a shared grid of instants
+/// `t0 + m × dt`, so each instant is evaluated **once** and reused — for
+/// F100/A128 that is 3,328 evaluations per 2-second window instead of 25,600.
+/// Otherwise every output is averaged independently.
+pub fn box_average_by_sampling<S>(
+    source: &S,
+    t0: f64,
+    period: f64,
+    n: usize,
+    dt: f64,
+    out: &mut [[f64; 3]],
+) where
+    S: SignalSource + ?Sized,
+{
+    let inv = 1.0 / n as f64;
+    let mean = |acc: [f64; 3]| [acc[0] * inv, acc[1] * inv, acc[2] * inv];
+    let stride_f = period / dt;
+    let stride = stride_f.round();
+    let overlapping = stride >= 1.0 && (stride_f - stride).abs() < 1e-9 && (stride as usize) < n;
+    if !overlapping {
+        for (k, slot) in out.iter_mut().enumerate() {
+            let t = t0 + k as f64 * period;
+            let mut acc = [0.0f64; 3];
+            for i in 0..n {
+                add(&mut acc, source.sample(t - (n - 1 - i) as f64 * dt));
+            }
+            *slot = mean(acc);
+        }
+        return;
+    }
+    let stride = stride as usize;
+    // Grid instant `g` is `t0 + m × dt` with `m = g − (n − 1)`; output `k`
+    // averages the `n` instants `g = k × stride ..< k × stride + n`.
+    let mut grid = GRID.take();
+    grid.clear();
+    grid.extend((0..out.len().saturating_sub(1) * stride + n).map(|g| {
+        let m = g as i64 - (n as i64 - 1);
+        source.sample(t0 + m as f64 * dt)
+    }));
+    for (k, slot) in out.iter_mut().enumerate() {
+        let mut acc = [0.0f64; 3];
+        for &v in &grid[k * stride..k * stride + n] {
+            add(&mut acc, v);
+        }
+        *slot = mean(acc);
+    }
+    GRID.set(grid);
+}
+
+fn add(acc: &mut [f64; 3], v: [f64; 3]) {
+    acc[0] += v[0];
+    acc[1] += v[1];
+    acc[2] += v[2];
+}
+
 std::thread_local! {
-    /// Reusable per-thread internal-grid buffer for [`Accelerometer::capture_into`],
-    /// so the windowed capture stays allocation-free in steady state.
-    static GRID: std::cell::RefCell<Vec<[f64; 3]>> = const { std::cell::RefCell::new(Vec::new()) };
+    /// Reusable per-thread internal-grid buffer for [`box_average_by_sampling`].
+    static GRID: Cell<Vec<[f64; 3]>> = const { Cell::new(Vec::new()) };
+    /// Reusable per-thread buffer of averaged readings for
+    /// [`Accelerometer::capture_into`].  Both buffers are taken out of their
+    /// cell while in use, so a nested capture allocates instead of panicking.
+    static MEANS: Cell<Vec<[f64; 3]>> = const { Cell::new(Vec::new()) };
 }
 
 fn quantize(value: f64) -> f64 {

@@ -57,7 +57,7 @@ pub mod noise;
 pub mod sample;
 pub mod telemetry;
 
-pub use accelerometer::{Accelerometer, SignalSource};
+pub use accelerometer::{box_average_by_sampling, Accelerometer, SignalSource};
 pub use config::{AveragingWindow, OperationMode, SamplingFrequency, SensorConfig};
 pub use energy::{Charge, EnergyModel, RadioModel, TxPolicy, SUPPLY_VOLTS};
 pub use fault::FaultKind;

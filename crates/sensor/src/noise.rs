@@ -63,27 +63,24 @@ impl NoiseModel {
         };
         self.noise_floor_g + averaged * mode_factor
     }
-
-    /// Draws one zero-mean Gaussian noise value with the output standard deviation
-    /// for `config` in `mode`.
-    pub fn sample<R: Rng + ?Sized>(
-        &self,
-        config: SensorConfig,
-        mode: OperationMode,
-        rng: &mut R,
-    ) -> f64 {
-        let std = self.output_noise_std_for(config, mode);
-        if std == 0.0 {
-            0.0
-        } else {
-            std * gaussian(rng)
-        }
-    }
 }
 
 impl Default for NoiseModel {
     fn default() -> Self {
         Self::bmi160()
+    }
+}
+
+/// Draws one zero-mean Gaussian noise value with standard deviation `std`
+/// (an [`NoiseModel::output_noise_std_for`] result, computed once per window).
+///
+/// A zero `std` returns exactly `0.0` without drawing from `rng`, so a
+/// noiseless model leaves the RNG stream untouched.
+pub fn scaled_gaussian<R: Rng + ?Sized>(std: f64, rng: &mut R) -> f64 {
+    if std == 0.0 {
+        0.0
+    } else {
+        std * gaussian(rng)
     }
 }
 
@@ -136,17 +133,16 @@ mod tests {
     #[test]
     fn noiseless_model_produces_exact_zero() {
         let n = NoiseModel::noiseless();
+        let std = n.output_noise_std_for(
+            cfg(SamplingFrequency::F50, AveragingWindow::A8),
+            OperationMode::LowPower,
+        );
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..10 {
-            assert_eq!(
-                n.sample(
-                    cfg(SamplingFrequency::F50, AveragingWindow::A8),
-                    OperationMode::LowPower,
-                    &mut rng
-                ),
-                0.0
-            );
+            assert_eq!(scaled_gaussian(std, &mut rng), 0.0);
         }
+        // Nothing was drawn: the stream is where a fresh one starts.
+        assert_eq!(rng.random::<u64>(), StdRng::seed_from_u64(1).random::<u64>());
     }
 
     #[test]
@@ -167,8 +163,7 @@ mod tests {
         let target = n.output_noise_std_for(c, OperationMode::LowPower);
         let mut rng = StdRng::seed_from_u64(7);
         let count = 20_000;
-        let values: Vec<f64> =
-            (0..count).map(|_| n.sample(c, OperationMode::LowPower, &mut rng)).collect();
+        let values: Vec<f64> = (0..count).map(|_| scaled_gaussian(target, &mut rng)).collect();
         let var = values.iter().map(|v| v * v).sum::<f64>() / count as f64;
         assert!((var.sqrt() - target).abs() / target < 0.05);
     }
