@@ -25,14 +25,24 @@ fn bench_fleet_scheduler(c: &mut Criterion) {
     let fleet = FleetSpec::new(16, 30.0, 64);
     group.bench_function("one_worker", |b| {
         b.iter(|| {
-            let report =
-                FleetScheduler::new(spec, system).with_threads(1).run(&fleet).expect("fleet runs");
+            let report = FleetScheduler::new(spec, system)
+                .with_threads(1)
+                .builder()
+                .spec(&fleet)
+                .run()
+                .expect("fleet runs")
+                .report;
             black_box(report.mean_current_ua())
         })
     });
     group.bench_function("all_workers", |b| {
         b.iter(|| {
-            let report = FleetScheduler::new(spec, system).run(&fleet).expect("fleet runs");
+            let report = FleetScheduler::new(spec, system)
+                .builder()
+                .spec(&fleet)
+                .run()
+                .expect("fleet runs")
+                .report;
             black_box(report.mean_current_ua())
         })
     });
@@ -49,8 +59,11 @@ fn bench_lockstep_chunking(c: &mut Criterion) {
             b.iter(|| {
                 let report = FleetScheduler::new(spec, system)
                     .with_threads(1)
-                    .run(&fleet)
-                    .expect("fleet runs");
+                    .builder()
+                    .spec(&fleet)
+                    .run()
+                    .expect("fleet runs")
+                    .report;
                 black_box(report.mean_accuracy())
             })
         });

@@ -87,7 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 lockstep_devices: 4,
                 ..FleetSpec::new(devices, duration_s, 131)
             };
-            let report = FleetScheduler::new(&spec, &system).run(&fleet)?;
+            let report = FleetScheduler::new(&spec, &system).builder().spec(&fleet).run()?.report;
             accuracy[slot] = report.mean_accuracy();
             let delta = if kind == BackendKind::F64 {
                 "-".to_string()
@@ -134,8 +134,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ..FleetSpec::new(devices, duration_s, 131)
             };
             let scheduler = FleetScheduler::new(&spec, &system);
-            let parallel = scheduler.with_threads(4).run(&mixed)?;
-            let serial = scheduler.with_threads(1).run(&mixed)?;
+            let parallel = scheduler.with_threads(4).builder().spec(&mixed).run()?.report;
+            let serial = scheduler.with_threads(1).builder().spec(&mixed).run()?.report;
             if serial != parallel {
                 return Err(format!(
                     "mixed-backend 4-worker report differs from the 1-worker report ({routine})"

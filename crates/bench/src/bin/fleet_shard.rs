@@ -82,7 +82,7 @@ fn coordinator() -> Result<(), Box<dyn std::error::Error>> {
 
     // 1. Monolithic reference: one streaming pass over the whole fleet.
     let start = std::time::Instant::now();
-    let monolithic = scheduler.run(fleet)?;
+    let monolithic = scheduler.builder().spec(fleet).run()?.report;
     let wall = start.elapsed().as_secs_f64();
     let reference = monolithic.encode();
     let ticks = monolithic.total_epochs();
@@ -143,7 +143,7 @@ fn run_shards_in_process(
     for (index, range) in fleet.shards(shards).into_iter().enumerate() {
         let path = spool_path(index);
         let mut sink = SpoolWriter::new(BufWriter::new(File::create(&path)?))?;
-        let report = scheduler.run_shard(fleet, range, &mut sink)?;
+        let report = scheduler.builder().spec(fleet).shard(range).sink(&mut sink).run()?.report;
         sink.finish()?.flush()?;
 
         // The spool must hold exactly the shard's rows, and folding them back
@@ -261,7 +261,7 @@ fn worker() -> Result<(), Box<dyn std::error::Error>> {
     let (spec, system) = train_system(shape.scale)?;
     let scheduler = FleetScheduler::new(&spec, &system);
     eprintln!("[fleet_shard worker {index}] running {range}…");
-    let report = scheduler.run_shard(&shape.fleet, range, &mut DiscardSink)?;
+    let report = scheduler.builder().spec(&shape.fleet).shard(range).run()?.report;
 
     let stream = TcpStream::connect(&connect)?;
     let mut writer = BufWriter::new(stream);

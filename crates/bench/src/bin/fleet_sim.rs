@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let threads = scheduler.worker_threads();
     eprintln!("[fleet_sim] running {devices} devices × {duration_s} s on {threads} workers…");
     let start = std::time::Instant::now();
-    let parallel = scheduler.run(&fleet)?;
+    let parallel = scheduler.builder().spec(&fleet).run()?.report;
     let wall = start.elapsed();
 
     println!("Fleet simulation — {devices} devices × {duration_s} s\n");
@@ -126,7 +126,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // single-core host the timed run was the serial one, so run 2 workers.
     let check_threads = if threads == 1 { 2 } else { 1 };
     eprintln!("[fleet_sim] verifying bit-identity against a {check_threads}-worker run…");
-    let check = scheduler.with_threads(check_threads).run(&fleet)?;
+    let check = scheduler.with_threads(check_threads).builder().spec(&fleet).run()?.report;
     if check != parallel {
         return Err(format!(
             "{threads}-worker fleet run differs from the {check_threads}-worker run"

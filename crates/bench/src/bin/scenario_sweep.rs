@@ -68,8 +68,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     ..FleetSpec::new(devices, duration_s, 97)
                 };
                 let scheduler = FleetScheduler::new(&spec, &system);
-                let parallel = scheduler.with_threads(4).run(&fleet)?;
-                let serial = scheduler.with_threads(1).run(&fleet)?;
+                let parallel = scheduler.with_threads(4).builder().spec(&fleet).run()?.report;
+                let serial = scheduler.with_threads(1).builder().spec(&fleet).run()?.report;
                 if serial != parallel {
                     return Err(format!(
                         "4-worker report differs from the 1-worker report \

@@ -7,11 +7,11 @@
 //! 2. Re-run every device standalone under a `TraceRecorder` and write its
 //!    stream as a wire-format `.trace` file.
 //! 3. Serve each trace file over its own loopback TCP listener and replay the
-//!    whole cohort through `SocketSource`s via `run_with_feeds`.
+//!    whole cohort through `SocketSource`s as the run's feeds.
 //! 4. Fail unless every replayed `DeviceSummary` row is bit-identical to the
 //!    reference row.
 //! 5. Additionally run a *mixed* fleet — the scenario cohort plus a
-//!    channel-fed replay cohort in one `run_with_feeds` call — and verify
+//!    channel-fed replay cohort in one run — and verify
 //!    both halves.
 //!
 //! Run with `cargo run --release -p adasense-bench --bin telemetry_replay`
@@ -119,7 +119,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         preset.label(),
         fault.label()
     );
-    let reference = scheduler.run_collect(&fleet)?;
+    let reference = scheduler.builder().spec(&fleet).collect().run()?;
     println!("{}", reference.report.to_table_string());
 
     // 2) Record every device's stream and export it as a wire-format file.
@@ -170,7 +170,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     let feed_only = FleetSpec { devices: 0, ..fleet.clone() };
-    let replayed = scheduler.run_with_feeds(&feed_only, feeds)?;
+    let replayed = scheduler.builder().spec(&feed_only).feeds(feeds).collect().run()?;
     for server in servers {
         server.join().expect("replay server thread")?;
     }
@@ -191,7 +191,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .with_backend(plan.backend),
         );
     }
-    let mixed = scheduler.run_with_feeds(&fleet, channel_feeds)?;
+    let mixed = scheduler.builder().spec(&fleet).feeds(channel_feeds).collect().run()?;
     for feeder in feeders {
         feeder.join().expect("channel feeder thread")?;
     }

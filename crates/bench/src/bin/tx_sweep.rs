@@ -26,7 +26,6 @@
 
 use adasense::dse::TxExploration;
 use adasense::prelude::*;
-use adasense::shard::DiscardSink;
 use adasense_bench::{int_arg, train_system, RunScale};
 
 /// Compressed points may give up at most this much accuracy vs transmit-raw
@@ -122,7 +121,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     eprintln!("[tx_sweep] running the tx-enabled fleet ({devices} devices × {duration_s} s)…");
     let scheduler = FleetScheduler::new(&spec, &system);
-    let live = scheduler.with_threads(4).run(&fleet)?;
+    let live = scheduler.with_threads(4).builder().spec(&fleet).run()?.report;
     println!("\n{}", live.to_table_string());
     let epochs: u64 = TxPolicy::ALL.iter().map(|&p| live.tx_epochs(p)).sum();
     if epochs != live.total_epochs() {
@@ -140,13 +139,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- Determinism gates ------------------------------------------------
-    let serial = scheduler.with_threads(1).run(&fleet)?;
+    let serial = scheduler.with_threads(1).builder().spec(&fleet).run()?.report;
     if serial.encode() != live.encode() {
         return Err("tx-enabled 4-worker report differs from the 1-worker report".into());
     }
     let mut sharded = FleetReport::new(fleet.controller.label());
     for range in fleet.shards(4) {
-        sharded.merge(&scheduler.run_shard(&fleet, range, &mut DiscardSink)?)?;
+        sharded.merge(&scheduler.builder().spec(&fleet).shard(range).run()?.report)?;
     }
     if sharded.encode() != live.encode() {
         return Err("4-shard merged report differs from the monolithic report".into());

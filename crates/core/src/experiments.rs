@@ -332,7 +332,7 @@ pub fn stability_sweep(
             ));
         }
     }
-    let reports = FleetScheduler::new(spec, system).run_scenarios(&jobs)?;
+    let reports = FleetScheduler::new(spec, system).sweep(&jobs)?;
 
     let mut points = Vec::with_capacity(settings.thresholds.len());
     for (t, &threshold) in settings.thresholds.iter().enumerate() {
@@ -487,7 +487,7 @@ pub fn iba_comparison(
             jobs.push((scenario, ControllerKind::IntensityBased));
         }
     }
-    let reports = FleetScheduler::new(spec, system).run_scenarios(&jobs)?;
+    let reports = FleetScheduler::new(spec, system).sweep(&jobs)?;
 
     let mut rows = Vec::with_capacity(ActivityChangeSetting::ALL.len());
     for (i, setting) in ActivityChangeSetting::ALL.into_iter().enumerate() {

@@ -22,22 +22,24 @@
 //!   percentiles of power, accuracy and per-configuration residency, per-routine
 //!   and per-backend breakdowns) in memory bounded by the population's
 //!   *diversity*, never its size.  Reports from device-range shards
-//!   ([`FleetSpec::shards`], [`FleetScheduler::run_shard`]) merge into exactly
+//!   ([`FleetSpec::shards`], [`FleetRunBuilder::shard`]) merge into exactly
 //!   the monolithic report — byte-for-byte under [`FleetReport::encode`] — and
 //!   per-device rows stream to an on-disk [`SpoolWriter`](crate::shard::SpoolWriter)
 //!   (or any [`SummarySink`]) instead of accumulating in RAM, so million-device
-//!   cohorts fit one box.  [`FleetScheduler::run_collect`] keeps the rows for
+//!   cohorts fit one box.  [`FleetRunBuilder::collect`] keeps the rows for
 //!   the workloads that want them.
 //!
-//! The scheduler also exposes [`FleetScheduler::run_scenarios`], an
+//! Every fleet runs through [`FleetScheduler::builder`].  Live telemetry
+//! joins the same machinery: [`ExternalDevice`]s — channel- or socket-fed
+//! [`SampleSource`]s from [`crate::ingest`] — given up front
+//! ([`FleetRunBuilder::feeds`]) or arriving on a live
+//! [`intake`](FleetRunBuilder::intake) tick in the same lockstep cohorts as
+//! the scenario-driven population.  [`FleetScheduler::sweep`] is the
 //! order-preserving parallel runner for explicit `(scenario, controller)` job
-//! lists; the Fig. 6 / Fig. 7 experiment sweeps run through it.  Live
-//! telemetry joins the same machinery through
-//! [`FleetScheduler::run_with_feeds`]: a cohort of [`ExternalDevice`]s —
-//! channel- or socket-fed [`SampleSource`]s from [`crate::ingest`] — ticks in
-//! the same lockstep chunks alongside the scenario-driven population.
+//! lists; the Fig. 6 / Fig. 7 experiment sweeps run through it.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::Mutex;
 
 use adasense_data::ActivityChangeSetting;
@@ -47,7 +49,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::controller::ControllerKind;
 use crate::error::AdaSenseError;
-use crate::runtime::{DeviceRuntime, SampleSource, ScenarioSource, TickPhase, TxSetup};
+use crate::runtime::{
+    DeviceRuntime, SampleSource, ScenarioSource, SourceStatus, TickPhase, TxSetup,
+};
 use crate::scenario::{FaultInjector, PopulationSpec};
 use crate::shard::{
     decode_str, encode_str, shard_ranges, ByteCursor, DiscardSink, FleetStats, ShardRange,
@@ -130,12 +134,23 @@ impl FleetSpec {
     /// # Errors
     ///
     /// Returns [`AdaSenseError::InvalidSpec`] for an empty fleet, a timeline
-    /// shorter than one classification window or a zero lockstep chunk.
+    /// shorter than one classification window, a zero lockstep chunk, a zero
+    /// compression ratio or an invalid population.
     pub fn validate(&self) -> Result<(), AdaSenseError> {
-        if self.devices == 0 {
-            return Err(AdaSenseError::invalid_spec("a fleet needs at least one device"));
+        self.validate_cohorts(false)
+    }
+
+    /// The checks of [`validate`](FleetSpec::validate) for a run whose
+    /// scenario cohort may be empty when `external_devices` join it.  The
+    /// duration only bounds scenario devices, so it is checked only when
+    /// there are some; every other setting applies to every cohort.
+    fn validate_cohorts(&self, external_devices: bool) -> Result<(), AdaSenseError> {
+        if self.devices == 0 && !external_devices {
+            return Err(AdaSenseError::invalid_spec(
+                "a fleet needs at least one device (scenario-driven or external)",
+            ));
         }
-        if self.duration_s < crate::runtime::WINDOW_S {
+        if self.devices > 0 && self.duration_s < crate::runtime::WINDOW_S {
             return Err(AdaSenseError::invalid_spec(format!(
                 "fleet duration {} s is shorter than one {} s classification window",
                 self.duration_s,
@@ -155,7 +170,7 @@ impl FleetSpec {
     /// `(base_seed, device_id)`: its seed, its routine and backend assignment,
     /// and the realized scenario it will live.
     ///
-    /// This is the exact setup [`FleetScheduler::run`] uses, exposed so replay
+    /// This is the exact setup [`FleetRunBuilder::run`] uses, exposed so replay
     /// tooling can rebuild a device's world outside the scheduler — record its
     /// stream with a [`TraceRecorder`](crate::ingest::TraceRecorder), then
     /// feed the trace back as an [`ExternalDevice`].
@@ -180,7 +195,7 @@ impl FleetSpec {
     /// [`lockstep_devices`](FleetSpec::lockstep_devices) chunk boundaries and
     /// maximally balanced (trailing ranges may be empty when there are fewer
     /// chunks than shards).  Each range, run through
-    /// [`FleetScheduler::run_shard`], schedules exactly the lockstep chunks
+    /// [`FleetRunBuilder::shard`], schedules exactly the lockstep chunks
     /// the monolithic run would, and the shard reports merge into exactly the
     /// monolithic report — per-device seeding makes every device's life
     /// independent of which shard runs it.  The canonical merge order is
@@ -290,18 +305,6 @@ impl ExternalDevice {
     }
 }
 
-/// The summary metadata of one externally fed device, separated from its
-/// boxed source so the scheduler can keep it while the runtime owns the feed.
-#[derive(Debug, Clone)]
-struct FeedMeta {
-    device_id: u64,
-    seed: u64,
-    routine: String,
-    backend: BackendKind,
-    start_epoch: u64,
-    departed: bool,
-}
-
 impl std::fmt::Debug for ExternalDevice {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExternalDevice")
@@ -372,6 +375,35 @@ pub struct DeviceSummary {
 }
 
 impl DeviceSummary {
+    /// Finalizes one cohort device into its row.
+    fn finalize(meta: DeviceMeta, runtime: &CohortRuntime<'_>) -> Self {
+        let tally = runtime.cascade_tally();
+        let tx = runtime.tx_tally();
+        Self {
+            device_id: meta.device_id,
+            seed: meta.seed,
+            routine: meta.routine,
+            backend: meta.backend.label().to_string(),
+            faulted_epochs: runtime.source().faulted_epochs(),
+            epochs: runtime.epochs(),
+            correct_epochs: runtime.correct_epochs(),
+            early_exit_epochs: tally.early_exit_epochs,
+            early_exit_correct: tally.early_exit_correct,
+            escalated_epochs: tally.escalated_epochs,
+            escalated_correct: tally.escalated_correct,
+            accuracy: runtime.accuracy(),
+            average_current_ua: runtime.average_current_ua(),
+            total_charge_uc: runtime.total_charge().micro_coulombs(),
+            duration_s: runtime.elapsed_s(),
+            residency_s: runtime.residency_seconds().to_vec(),
+            tx_epochs: tx.epochs.to_vec(),
+            tx_bytes: tx.bytes.to_vec(),
+            tx_charge_uc: tx.charge_uc.to_vec(),
+            start_epoch: meta.start_epoch,
+            departed: meta.departed,
+        }
+    }
+
     /// The fraction of this device's time spent in `config` (0–1).
     pub fn residency_fraction(&self, config: SensorConfig) -> f64 {
         if self.duration_s <= 0.0 {
@@ -432,10 +464,10 @@ pub struct RoutineBreakdown {
 /// *exactly* — bit for bit, in any merge order — the report of the monolithic
 /// run; [`encode`](FleetReport::encode) is canonical, making that equality
 /// checkable byte for byte (the `fleet_shard` binary gates it in CI).
-/// Per-device rows no longer live in the report:
-/// [`FleetScheduler::run_collect`] returns them alongside it, and
-/// [`FleetScheduler::run_shard`] streams them to a [`SummarySink`] such as the
-/// on-disk [`SpoolWriter`](crate::shard::SpoolWriter).
+/// Per-device rows do not live in the report: a
+/// [`collect`](FleetRunBuilder::collect)ed [`FleetRun`] returns them alongside
+/// it, and a [`sink`](FleetRunBuilder::sink) streams them to a
+/// [`SummarySink`] such as the on-disk [`SpoolWriter`](crate::shard::SpoolWriter).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// Label of the controller the fleet ran.
@@ -832,18 +864,19 @@ pub(crate) fn mean(values: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
-/// A fleet run that kept its per-device rows: the mergeable [`FleetReport`]
-/// plus one [`DeviceSummary`] per device.  Produced by
-/// [`FleetScheduler::run_collect`] and [`FleetScheduler::run_with_feeds`] for
-/// the workloads that need row-level detail in RAM (replay gates, per-device
-/// assertions); memory grows with the cohort, so bounded-memory paths use
-/// [`FleetScheduler::run`] or [`FleetScheduler::run_shard`] instead.
+/// A fleet run: the mergeable [`FleetReport`] plus, when the run was
+/// [`collect`](FleetRunBuilder::collect)ed, one [`DeviceSummary`] per device
+/// for the workloads that need row-level detail in RAM (replay gates,
+/// per-device assertions).  Kept rows grow with the cohort, so
+/// bounded-memory runs leave `collect` off and stream rows to a
+/// [`sink`](FleetRunBuilder::sink) instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetRun {
     /// The mergeable population report.
     pub report: FleetReport,
-    /// One summary per device: the scenario cohort first (by device id), then
-    /// any feed cohort in the order given.
+    /// One summary per device when collected (empty otherwise): the scenario
+    /// cohort first (by device id), then the feed cohort in the order given,
+    /// then the intake's devices in arrival order.
     pub summaries: Vec<DeviceSummary>,
 }
 
@@ -877,136 +910,14 @@ impl<'a> FleetScheduler<'a> {
         }
     }
 
-    /// Runs `fleet`: every device plays its own randomized scenario through a
-    /// [`DeviceRuntime`], chunks of devices tick in lockstep with batched
-    /// classification, and the chunks are distributed over the worker pool.
-    ///
-    /// Memory is **bounded**: completed rows fold into the mergeable report
-    /// and are dropped, so a million-device cohort costs no more RAM than a
-    /// hundred-device one.  Use [`run_collect`](FleetScheduler::run_collect)
-    /// to keep the rows, or [`run_shard`](FleetScheduler::run_shard) to
-    /// stream them to an on-disk spool.
-    ///
-    /// The report is bit-identical for any worker count because device seeds
-    /// and chunk boundaries depend only on the spec and every report
-    /// statistic is independent of the chunk completion order.
-    ///
-    /// Deprecated in favor of the builder: this is a thin wrapper kept for
-    /// compatibility, equivalent to
-    /// [`builder()`](FleetScheduler::builder)`.spec(fleet).run()?.report`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AdaSenseError::InvalidSpec`] for degenerate specs and
-    /// propagates per-device simulation errors.
-    pub fn run(&self, fleet: &FleetSpec) -> Result<FleetReport, AdaSenseError> {
-        Ok(self.builder().spec(fleet).run()?.report)
-    }
-
-    /// Runs the devices of one [`ShardRange`] of `fleet`, streaming every
-    /// completed [`DeviceSummary`] row to `sink` (a
-    /// [`SpoolWriter`](crate::shard::SpoolWriter) for on-disk spooling,
-    /// [`DiscardSink`] for report-only runs) and returning the shard's
-    /// mergeable report.  Memory is bounded: no row outlives its sink push.
-    ///
-    /// Rows reach the sink grouped by lockstep chunk but in chunk-*completion*
-    /// order, which depends on worker scheduling — consumers needing an order
-    /// must sort by `device_id`.  The report is insensitive to that order, so
-    /// it stays bit-identical at any worker count, and shard reports
-    /// [`merge`](FleetReport::merge) into exactly the monolithic
-    /// [`run`](FleetScheduler::run) report (canonically in ascending shard
-    /// order; see [`FleetSpec::shards`]).
-    ///
-    /// Deprecated in favor of the builder: this is a thin wrapper kept for
-    /// compatibility, equivalent to [`builder()`](FleetScheduler::builder)
-    /// `.spec(fleet).shard(range).sink(sink).run()?.report`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AdaSenseError::InvalidSpec`] for degenerate specs or a range
-    /// outside the fleet, and propagates per-device and sink errors.
-    pub fn run_shard(
-        &self,
-        fleet: &FleetSpec,
-        range: ShardRange,
-        sink: &mut dyn SummarySink,
-    ) -> Result<FleetReport, AdaSenseError> {
-        Ok(self.builder().spec(fleet).shard(range).sink(sink).run()?.report)
-    }
-
-    /// Runs `fleet` like [`run`](FleetScheduler::run) but keeps every
-    /// [`DeviceSummary`] row in RAM, returned in device-id order alongside
-    /// the report.  Memory grows with the cohort; prefer
-    /// [`run`](FleetScheduler::run) or
-    /// [`run_shard`](FleetScheduler::run_shard) for large fleets.
-    ///
-    /// Deprecated in favor of the builder: this is a thin wrapper kept for
-    /// compatibility, equivalent to
-    /// [`builder()`](FleetScheduler::builder)`.spec(fleet).collect().run()`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AdaSenseError::InvalidSpec`] for degenerate specs and
-    /// propagates per-device simulation errors.
-    pub fn run_collect(&self, fleet: &FleetSpec) -> Result<FleetRun, AdaSenseError> {
-        fleet.validate()?;
-        self.builder().spec(fleet).collect().run()
-    }
-
-    /// Runs `fleet` with a cohort of externally fed devices alongside the
-    /// scenario-driven ones: live telemetry feeds ([`ExternalDevice`]) join
-    /// the same worker pool, tick in the same lockstep chunks of
-    /// [`FleetSpec::lockstep_devices`], and batch their classifier calls the
-    /// same way.  `fleet.devices` may be `0` for a feed-only run.
-    ///
-    /// The summaries list the scenario cohort first (by device id), then the
-    /// feed cohort in the order given.  Scenario rows are bit-identical to
-    /// [`run_collect`](FleetScheduler::run_collect); a feed row is
-    /// bit-identical to the run that produced its trace when the feed replays
-    /// a recording (the `telemetry_replay` binary gates exactly that in CI).
-    ///
-    /// Deprecated in favor of the builder: this is a thin wrapper kept for
-    /// compatibility, equivalent to [`builder()`](FleetScheduler::builder)
-    /// `.spec(fleet).feeds(feeds).collect().run()`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AdaSenseError::InvalidSpec`] for degenerate specs (including
-    /// no devices in either cohort) and propagates per-device errors.
-    pub fn run_with_feeds(
-        &self,
-        fleet: &FleetSpec,
-        feeds: Vec<ExternalDevice>,
-    ) -> Result<FleetRun, AdaSenseError> {
-        self.builder().spec(fleet).feeds(feeds).collect().run()
-    }
-
-    /// Runs an explicit list of `(scenario, controller)` simulations over the
-    /// worker pool, returning their reports in job order.  This is the runner
-    /// behind the experiment sweeps (Figs. 6 & 7).
-    ///
-    /// Deprecated in favor of the builder: this is a thin wrapper kept for
-    /// compatibility, equivalent to
-    /// [`builder()`](FleetScheduler::builder)`.sweep(jobs)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first simulation error encountered.
-    pub fn run_scenarios(
-        &self,
-        jobs: &[(ScenarioSpec, ControllerKind)],
-    ) -> Result<Vec<SimulationReport>, AdaSenseError> {
-        self.builder().sweep(jobs)
-    }
-
-    /// Opens a [`FleetRunBuilder`]: the single entry point behind every way of
-    /// driving a fleet.  Pick a [`spec`](FleetRunBuilder::spec), optionally
-    /// add [`feeds`](FleetRunBuilder::feeds), a
+    /// Opens a [`FleetRunBuilder`]: the one way to drive a fleet.  Pick a
+    /// [`spec`](FleetRunBuilder::spec), optionally add
+    /// [`feeds`](FleetRunBuilder::feeds), a live
+    /// [`intake`](FleetRunBuilder::intake), a
     /// [`shard`](FleetRunBuilder::shard) range, a streaming
     /// [`sink`](FleetRunBuilder::sink) or in-RAM row
     /// [`collect`](FleetRunBuilder::collect)ion, then call
-    /// [`run`](FleetRunBuilder::run) (or [`sweep`](FleetRunBuilder::sweep)
-    /// for explicit scenario lists).
+    /// [`run`](FleetRunBuilder::run).
     pub fn builder<'s>(&self) -> FleetRunBuilder<'a, 's> {
         FleetRunBuilder {
             scheduler: *self,
@@ -1017,6 +928,24 @@ impl<'a> FleetScheduler<'a> {
             sink: None,
             collect: false,
         }
+    }
+
+    /// Runs an explicit list of `(scenario, controller)` simulations over the
+    /// worker pool, returning their reports in job order.  This is the runner
+    /// behind the experiment sweeps (Figs. 6 & 7).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the error of the first failing job, in job order.
+    pub fn sweep(
+        &self,
+        jobs: &[(ScenarioSpec, ControllerKind)],
+    ) -> Result<Vec<SimulationReport>, AdaSenseError> {
+        run_jobs(self.worker_threads(), jobs.iter().collect(), |(scenario, controller)| {
+            Simulator::new(self.spec, self.system)
+                .with_controller(*controller)
+                .run(scenario.clone())
+        })
     }
 
     /// The exact sample source a fleet device runs over: the plan's realized
@@ -1036,79 +965,55 @@ impl<'a> FleetScheduler<'a> {
         )
     }
 
-    /// Runs one lockstep chunk of scenario-driven devices to completion.
-    fn run_chunk(
+    /// Builds one device for a cohort: the fleet's controller over `source`,
+    /// classifying with the device's backend and bounded to `duration_s` when
+    /// given (an unbounded device runs until its source exhausts).  With
+    /// transmission modelling on, the radio is seeded with the device's seed,
+    /// so a feed replaying a scenario device prices and compresses exactly as
+    /// the original did.
+    fn device(
         &self,
         fleet: &FleetSpec,
-        device_ids: std::ops::Range<u64>,
-    ) -> Result<Vec<DeviceSummary>, AdaSenseError> {
-        let chunk_len = (device_ids.end - device_ids.start) as usize;
-        let mut plans = Vec::with_capacity(chunk_len);
-        let mut backends = Vec::with_capacity(chunk_len);
-        let mut runtimes = Vec::with_capacity(chunk_len);
-        for device_id in device_ids {
-            let plan = fleet.device_plan(device_id);
-            let duration_s = plan.scenario.duration_s();
-            let source = self.device_source(fleet, &plan);
-            let mut runtime = DeviceRuntime::for_source(
-                self.spec,
-                self.system,
-                fleet.controller,
-                source,
-                duration_s,
-            )?
-            .with_recording(false)
-            .with_classifier(self.system.backend(plan.backend));
-            if let Some(ratio) = fleet.tx_ratio {
-                runtime = runtime.with_tx(TxSetup::ble(ratio).with_seed(plan.seed));
+        meta: DeviceMeta,
+        source: CohortSource,
+        duration_s: Option<f64>,
+    ) -> Result<(DeviceMeta, CohortRuntime<'a>), AdaSenseError> {
+        let (spec, system, controller) = (self.spec, self.system, fleet.controller);
+        let mut runtime = match duration_s {
+            Some(duration_s) => {
+                DeviceRuntime::for_source(spec, system, controller, source, duration_s)?
             }
-            backends.push(plan.backend);
-            plans.push(plan);
-            runtimes.push(runtime);
+            None => DeviceRuntime::new(spec, system, controller, source),
         }
-
-        self.run_lockstep(&mut runtimes, &backends);
-
-        Ok(plans
-            .into_iter()
-            .zip(runtimes)
-            .map(|(plan, runtime)| {
-                let tally = runtime.cascade_tally();
-                let tx = runtime.tx_tally();
-                DeviceSummary {
-                    device_id: plan.device_id,
-                    seed: plan.seed,
-                    routine: plan.routine,
-                    backend: plan.backend.label().to_string(),
-                    faulted_epochs: runtime.source().faulted_captures(),
-                    epochs: runtime.epochs(),
-                    correct_epochs: runtime.correct_epochs(),
-                    early_exit_epochs: tally.early_exit_epochs,
-                    early_exit_correct: tally.early_exit_correct,
-                    escalated_epochs: tally.escalated_epochs,
-                    escalated_correct: tally.escalated_correct,
-                    accuracy: runtime.accuracy(),
-                    average_current_ua: runtime.average_current_ua(),
-                    total_charge_uc: runtime.total_charge().micro_coulombs(),
-                    duration_s: runtime.elapsed_s(),
-                    residency_s: runtime.residency_seconds().to_vec(),
-                    tx_epochs: tx.epochs.to_vec(),
-                    tx_bytes: tx.bytes.to_vec(),
-                    tx_charge_uc: tx.charge_uc.to_vec(),
-                    start_epoch: 0,
-                    departed: false,
-                }
-            })
-            .collect())
+        .with_recording(false)
+        .with_classifier(system.backend(meta.backend));
+        if let Some(ratio) = fleet.tx_ratio {
+            runtime = runtime.with_tx(TxSetup::ble(ratio).with_seed(meta.seed));
+        }
+        Ok((meta, runtime))
     }
 
-    /// Builds the runtime driving one externally fed device, returning it
-    /// alongside the metadata its summary row will carry.
-    fn feed_runtime(
+    /// Builds scenario device `device_id` from its [`DevicePlan`].
+    fn scenario_device(
+        &self,
+        fleet: &FleetSpec,
+        device_id: u64,
+    ) -> Result<(DeviceMeta, CohortRuntime<'a>), AdaSenseError> {
+        let plan = fleet.device_plan(device_id);
+        let source = CohortSource::Scenario(self.device_source(fleet, &plan));
+        let duration_s = plan.scenario.duration_s();
+        let DevicePlan { device_id, seed, routine, backend, .. } = plan;
+        let meta =
+            DeviceMeta { device_id, seed, routine, backend, start_epoch: 0, departed: false };
+        self.device(fleet, meta, source, Some(duration_s))
+    }
+
+    /// Builds an externally fed device.
+    fn feed_device(
         &self,
         fleet: &FleetSpec,
         feed: ExternalDevice,
-    ) -> Result<(FeedMeta, DeviceRuntime<'a, Box<dyn SampleSource + Send>>), AdaSenseError> {
+    ) -> Result<(DeviceMeta, CohortRuntime<'a>), AdaSenseError> {
         let ExternalDevice {
             device_id,
             seed,
@@ -1119,264 +1024,246 @@ impl<'a> FleetScheduler<'a> {
             departed,
             source,
         } = feed;
-        let mut runtime = match duration_s {
-            Some(duration_s) => DeviceRuntime::for_source(
-                self.spec,
-                self.system,
-                fleet.controller,
-                source,
-                duration_s,
-            )?,
-            None => DeviceRuntime::new(self.spec, self.system, fleet.controller, source),
-        }
-        .with_recording(false)
-        .with_classifier(self.system.backend(backend));
-        if let Some(ratio) = fleet.tx_ratio {
-            runtime = runtime.with_tx(TxSetup::ble(ratio).with_seed(seed));
-        }
-        Ok((FeedMeta { device_id, seed, routine, backend, start_epoch, departed }, runtime))
+        let meta = DeviceMeta { device_id, seed, routine, backend, start_epoch, departed };
+        self.device(fleet, meta, CohortSource::External(source), duration_s)
     }
 
-    /// Finalizes one externally fed device into its summary row.  Fault
-    /// exposure is a capture-side property the feed does not carry, so the
-    /// row always reports `faulted_epochs == 0`.
-    fn feed_summary<S: SampleSource>(
-        meta: FeedMeta,
-        runtime: &DeviceRuntime<'_, S>,
-    ) -> DeviceSummary {
-        let tally = runtime.cascade_tally();
-        let tx = runtime.tx_tally();
-        DeviceSummary {
-            device_id: meta.device_id,
-            seed: meta.seed,
-            routine: meta.routine,
-            backend: meta.backend.label().to_string(),
-            faulted_epochs: 0,
-            epochs: runtime.epochs(),
-            correct_epochs: runtime.correct_epochs(),
-            early_exit_epochs: tally.early_exit_epochs,
-            early_exit_correct: tally.early_exit_correct,
-            escalated_epochs: tally.escalated_epochs,
-            escalated_correct: tally.escalated_correct,
-            accuracy: runtime.accuracy(),
-            average_current_ua: runtime.average_current_ua(),
-            total_charge_uc: runtime.total_charge().micro_coulombs(),
-            duration_s: runtime.elapsed_s(),
-            residency_s: runtime.residency_seconds().to_vec(),
-            tx_epochs: tx.epochs.to_vec(),
-            tx_bytes: tx.bytes.to_vec(),
-            tx_charge_uc: tx.charge_uc.to_vec(),
-            start_epoch: meta.start_epoch,
-            departed: meta.departed,
-        }
-    }
-
-    /// Runs one lockstep chunk of externally fed devices until every feed
-    /// exhausts (or hits its tick budget).  Fed devices inherit the fleet's
-    /// controller and transmission setup; a feed's tx seed is its carried
-    /// [`ExternalDevice::seed`], so a replayed scenario device prices and
-    /// compresses exactly as the original did.
-    fn run_feed_chunk(
+    /// Runs one cohort job to completion, handing each device's row to
+    /// `on_row` (with the device's admission index) the moment the device
+    /// completes.  A scenario chunk or a feed chunk admits its devices up
+    /// front; the live intake admits arrivals between ticks, blocking only
+    /// while the cohort is empty, and the job ends once the cohort has
+    /// drained *and* the intake has disconnected.
+    fn drive(
         &self,
         fleet: &FleetSpec,
-        feeds: Vec<ExternalDevice>,
-    ) -> Result<Vec<DeviceSummary>, AdaSenseError> {
-        let mut metas = Vec::with_capacity(feeds.len());
-        let mut backends = Vec::with_capacity(feeds.len());
-        let mut runtimes = Vec::with_capacity(feeds.len());
-        for feed in feeds {
-            let (meta, runtime) = self.feed_runtime(fleet, feed)?;
-            backends.push(meta.backend);
-            metas.push(meta);
-            runtimes.push(runtime);
-        }
-
-        self.run_lockstep(&mut runtimes, &backends);
-
-        Ok(metas
-            .into_iter()
-            .zip(runtimes)
-            .map(|(meta, runtime)| Self::feed_summary(meta, &runtime))
-            .collect())
-    }
-
-    /// Ticks every live device of a chunk once per iteration, batching all
-    /// pending classifications of the tick into one forward pass *per
-    /// backend* (devices on different backends cannot share a matrix product,
-    /// but each backend group still batches).  The pools retain their row
-    /// buffers, so the per-tick loop allocates nothing once they have grown.
-    /// Devices are drained into the pools in device order and each pool is
-    /// resolved in that same order, so the batch composition — and with it
-    /// every per-row result — depends only on the spec, never on the worker
-    /// count.  Devices whose source exhausts simply drop out of the lockstep.
-    fn run_lockstep<S: crate::runtime::SampleSource>(
-        &self,
-        runtimes: &mut [DeviceRuntime<'_, S>],
-        backends: &[BackendKind],
-    ) {
-        let mut scratch = LockstepScratch::default();
-        while self.lockstep_tick(runtimes, backends, &mut scratch) {}
-    }
-
-    /// Advances every live device of a cohort by one tick (one iteration of
-    /// [`run_lockstep`](Self::run_lockstep)'s loop), returning whether any
-    /// device is still live.  Per-row results are independent of the batch
-    /// composition, so the cohort may grow or shrink between ticks — the
-    /// churn entry point [`FleetRunBuilder::intake`] relies on exactly that.
-    fn lockstep_tick<S: crate::runtime::SampleSource>(
-        &self,
-        runtimes: &mut [DeviceRuntime<'_, S>],
-        backends: &[BackendKind],
-        scratch: &mut LockstepScratch,
-    ) -> bool {
-        let LockstepScratch { pools, predictions, stages } = scratch;
-        let mut any_live = false;
-        for pool in pools.iter_mut() {
-            pool.reset();
-        }
-        for (i, runtime) in runtimes.iter_mut().enumerate() {
-            if runtime.is_complete() {
-                continue;
-            }
-            match runtime.begin_tick() {
-                TickPhase::Exhausted => {}
-                TickPhase::Idle(_) => any_live = true,
-                TickPhase::Classify => {
-                    any_live = true;
-                    if runtime.batches_with_unified() {
-                        pools[backend_index(backends[i])].push(i, runtime.pending_features());
-                    } else {
-                        // Bank classifiers are per-configuration; classify
-                        // this device individually.
-                        let (prediction, stage) = runtime
-                            .active_classifier()
-                            .predict_with_stage(runtime.pending_features());
-                        runtime.complete_tick_staged(prediction, stage);
-                    }
-                }
-            }
-        }
-        if !any_live {
-            return false;
-        }
-        for (pool, kind) in pools.iter().zip(BackendKind::ALL) {
-            if pool.used == 0 {
-                continue;
-            }
-            self.system.backend(kind).predict_batch_staged(pool.rows(), predictions, stages);
-            for ((&i, prediction), stage) in
-                pool.members.iter().zip(predictions.drain(..)).zip(stages.drain(..))
-            {
-                runtimes[i].complete_tick_staged(prediction, stage);
-            }
-        }
-        true
-    }
-
-    /// Drives a churning cohort fed through a channel: devices admitted
-    /// between ticks as they arrive on `intake`, completed devices finalized
-    /// immediately at their last completed epoch and handed to `on_row`.
-    /// Returns once the cohort has drained *and* the intake has
-    /// disconnected.
-    fn run_intake_churn(
-        &self,
-        fleet: &FleetSpec,
-        intake: std::sync::mpsc::Receiver<ExternalDevice>,
-        on_row: &mut dyn FnMut(DeviceSummary) -> Result<(), AdaSenseError>,
+        job: CohortJob,
+        on_row: &mut dyn FnMut(usize, DeviceSummary) -> Result<(), AdaSenseError>,
     ) -> Result<(), AdaSenseError> {
-        let mut metas: Vec<FeedMeta> = Vec::new();
-        let mut backends: Vec<BackendKind> = Vec::new();
-        let mut runtimes: Vec<DeviceRuntime<'a, Box<dyn SampleSource + Send>>> = Vec::new();
-        let mut scratch = LockstepScratch::default();
-        let mut open = true;
+        let mut cohort = Cohort::new(self.system);
+        let mut intake = match job {
+            CohortJob::Scenario(device_ids) => {
+                for device_id in device_ids {
+                    cohort.admit(self.scenario_device(fleet, device_id)?);
+                }
+                None
+            }
+            CohortJob::Feeds(feeds) => {
+                for feed in feeds {
+                    cohort.admit(self.feed_device(fleet, feed)?);
+                }
+                None
+            }
+            CohortJob::Intake(intake) => Some(intake),
+        };
         loop {
-            // Admit arrivals between ticks: block only when the cohort is
-            // empty (nothing to tick anyway), otherwise drain without
-            // waiting.
-            loop {
-                let feed = if runtimes.is_empty() && open {
-                    match intake.recv() {
-                        Ok(feed) => Some(feed),
-                        Err(_) => {
-                            open = false;
-                            None
-                        }
-                    }
+            while let Some(open) = &intake {
+                let arrival = if cohort.is_empty() {
+                    open.recv().ok()
                 } else {
-                    match intake.try_recv() {
+                    match open.try_recv() {
                         Ok(feed) => Some(feed),
-                        Err(std::sync::mpsc::TryRecvError::Empty) => None,
-                        Err(std::sync::mpsc::TryRecvError::Disconnected) => {
-                            open = false;
-                            None
-                        }
+                        Err(TryRecvError::Empty) => break,
+                        Err(TryRecvError::Disconnected) => None,
                     }
                 };
-                let Some(feed) = feed else { break };
-                let (meta, runtime) = self.feed_runtime(fleet, feed)?;
-                backends.push(meta.backend);
-                metas.push(meta);
-                runtimes.push(runtime);
-            }
-            if runtimes.is_empty() {
-                if open {
-                    continue;
+                match arrival {
+                    Some(feed) => cohort.admit(self.feed_device(fleet, feed)?),
+                    None => intake = None,
                 }
+            }
+            if cohort.is_empty() {
                 return Ok(());
             }
-            self.lockstep_tick(&mut runtimes, &backends, &mut scratch);
-            // Finalize and evict completed devices so a drained feed's row is
-            // visible (to the shared aggregate and any sink) without waiting
-            // for the rest of the cohort.  Eviction order is irrelevant to
-            // the results: rows are bit-identical per device regardless of
-            // batch composition.
-            let mut i = 0;
-            while i < runtimes.len() {
-                if runtimes[i].is_complete() {
-                    let runtime = runtimes.swap_remove(i);
-                    let meta = metas.swap_remove(i);
-                    backends.swap_remove(i);
-                    on_row(Self::feed_summary(meta, &runtime))?;
-                } else {
-                    i += 1;
-                }
-            }
+            cohort.tick();
+            cohort.evict(on_row)?;
         }
     }
 }
 
-/// The retained per-tick buffers of one lockstep cohort (batch pools and
-/// prediction scratch), kept across ticks so the loop allocates nothing once
-/// they have grown.
-struct LockstepScratch {
+/// The metadata a device's summary row carries, kept beside its runtime.
+struct DeviceMeta {
+    device_id: u64,
+    seed: u64,
+    routine: String,
+    backend: BackendKind,
+    start_epoch: u64,
+    departed: bool,
+}
+
+/// Where a cohort device's windows come from: a scenario device's
+/// fault-injected synthetic sensor, or an external feed.  One source type
+/// lets every kind of device share one cohort while a scenario device keeps
+/// its fault count for its row.
+enum CohortSource {
+    Scenario(FaultInjector<ScenarioSource>),
+    External(Box<dyn SampleSource + Send>),
+}
+
+impl CohortSource {
+    /// Fault-exposed captures so far.  Fault exposure is a capture-side
+    /// property a feed does not carry, so an external device reports 0.
+    fn faulted_epochs(&self) -> usize {
+        match self {
+            Self::Scenario(source) => source.faulted_captures(),
+            Self::External(_) => 0,
+        }
+    }
+}
+
+impl SampleSource for CohortSource {
+    fn capture_window(
+        &mut self,
+        config: SensorConfig,
+        t_end: f64,
+        window_s: f64,
+        out: &mut Vec<adasense_sensor::Sample3>,
+    ) {
+        match self {
+            Self::Scenario(source) => source.capture_window(config, t_end, window_s, out),
+            Self::External(source) => source.capture_window(config, t_end, window_s, out),
+        }
+    }
+
+    fn ground_truth(&self, t_s: f64) -> Option<adasense_data::Activity> {
+        match self {
+            Self::Scenario(source) => source.ground_truth(t_s),
+            Self::External(source) => source.ground_truth(t_s),
+        }
+    }
+
+    fn status(&mut self) -> SourceStatus {
+        match self {
+            Self::Scenario(source) => source.status(),
+            Self::External(source) => source.status(),
+        }
+    }
+}
+
+/// The runtime of one cohort device.
+type CohortRuntime<'a> = DeviceRuntime<'a, CohortSource>;
+
+/// One worker job: a cohort and where its devices come from.  A scenario
+/// chunk and a feed chunk are intakes closed up front; the live intake stays
+/// open until its sender disconnects.
+enum CohortJob {
+    Scenario(std::ops::Range<u64>),
+    Feeds(Vec<ExternalDevice>),
+    Intake(Receiver<ExternalDevice>),
+}
+
+/// One device of a cohort: its admission index within the cohort, the
+/// metadata its row carries and its runtime.
+struct Member<'a> {
+    admitted: usize,
+    meta: DeviceMeta,
+    runtime: CohortRuntime<'a>,
+}
+
+/// A lockstep cohort: devices are admitted with the metadata their rows
+/// carry, tick together with their classifier calls batched per backend,
+/// and are evicted into rows as they complete.
+struct Cohort<'a> {
+    system: &'a TrainedSystem,
+    /// Live devices in admission order.
+    devices: Vec<Member<'a>>,
+    admitted: usize,
+    /// One retained batch pool per backend, indexed like [`BackendKind::ALL`].
     pools: Vec<BatchPool>,
     predictions: Vec<Prediction>,
     stages: Vec<CascadeStage>,
 }
 
-impl Default for LockstepScratch {
-    fn default() -> Self {
+impl<'a> Cohort<'a> {
+    fn new(system: &'a TrainedSystem) -> Self {
         Self {
+            system,
+            devices: Vec::new(),
+            admitted: 0,
             pools: BackendKind::ALL.iter().map(|_| BatchPool::default()).collect(),
             predictions: Vec::new(),
             stages: Vec::new(),
         }
     }
+
+    fn is_empty(&self) -> bool {
+        self.devices.is_empty()
+    }
+
+    /// Adds one device to the cohort; it ticks from the next tick on.
+    fn admit(&mut self, (meta, runtime): (DeviceMeta, CohortRuntime<'a>)) {
+        self.devices.push(Member { admitted: self.admitted, meta, runtime });
+        self.admitted += 1;
+    }
+
+    /// Advances every live device by one tick, batching all pending
+    /// classifications of the tick into one forward pass *per backend*
+    /// (devices on different backends cannot share a matrix product, but each
+    /// backend group still batches).  The pools retain their row buffers, so
+    /// ticking allocates nothing once they have grown.  Devices are drained
+    /// into the pools in admission order and each pool is resolved in that
+    /// same order, so a closed cohort's batch composition depends only on the
+    /// spec, never on the worker count.  Per-row results are independent of
+    /// the batch composition, so the cohort may grow or shrink between ticks.
+    fn tick(&mut self) {
+        for pool in &mut self.pools {
+            pool.reset();
+        }
+        for (i, Member { meta, runtime, .. }) in self.devices.iter_mut().enumerate() {
+            if runtime.is_complete() || runtime.begin_tick() != TickPhase::Classify {
+                continue;
+            }
+            if runtime.batches_with_unified() {
+                self.pools[backend_index(meta.backend)].push(i, runtime.pending_features());
+            } else {
+                // Bank classifiers are per-configuration; classify this
+                // device individually.
+                let (prediction, stage) =
+                    runtime.active_classifier().predict_with_stage(runtime.pending_features());
+                runtime.complete_tick_staged(prediction, stage);
+            }
+        }
+        for (pool, kind) in self.pools.iter().zip(BackendKind::ALL) {
+            if pool.used == 0 {
+                continue;
+            }
+            self.system.backend(kind).predict_batch_staged(
+                pool.rows(),
+                &mut self.predictions,
+                &mut self.stages,
+            );
+            for ((&i, prediction), stage) in
+                pool.members.iter().zip(self.predictions.drain(..)).zip(self.stages.drain(..))
+            {
+                self.devices[i].runtime.complete_tick_staged(prediction, stage);
+            }
+        }
+    }
+
+    /// Finalizes every completed device into its row, handed to `on_row`
+    /// with the device's admission index, and drops it from the cohort.  The
+    /// remaining devices keep their relative order.
+    fn evict(
+        &mut self,
+        on_row: &mut dyn FnMut(usize, DeviceSummary) -> Result<(), AdaSenseError>,
+    ) -> Result<(), AdaSenseError> {
+        for Member { admitted, meta, runtime } in
+            self.devices.extract_if(.., |device| device.runtime.is_complete())
+        {
+            on_row(admitted, DeviceSummary::finalize(meta, &runtime))?;
+        }
+        Ok(())
+    }
 }
 
-/// One configurable fleet run: the unified front door behind
-/// [`FleetScheduler::run`], [`run_shard`](FleetScheduler::run_shard),
-/// [`run_collect`](FleetScheduler::run_collect),
-/// [`run_with_feeds`](FleetScheduler::run_with_feeds) and
-/// [`run_scenarios`](FleetScheduler::run_scenarios), which all survive as
-/// thin wrappers over it.  Built by [`FleetScheduler::builder`].
+/// One configurable fleet run, built by [`FleetScheduler::builder`]: the one
+/// way to drive a fleet.
 ///
-/// Every option composes with every other, which the legacy entry points
-/// never allowed: a sharded run can keep its rows, a feed cohort can stream
-/// to a spool, a reactor-fed live fleet can run report-only in bounded
-/// memory.  The report is bit-identical across any combination of worker
-/// count, sharding and row handling because it is a function of the row
-/// multiset only.
+/// Every option composes with every other: a sharded run can keep its rows,
+/// a feed cohort can stream to a spool, a reactor-fed live fleet can run
+/// report-only in bounded memory.  The report is bit-identical across any
+/// combination of worker count, sharding and row handling because it is a
+/// function of the row multiset only.
 ///
 /// ```
 /// # use adasense::prelude::*;
@@ -1384,7 +1271,6 @@ impl Default for LockstepScratch {
 /// # let system = TrainedSystem::train(&exp).unwrap();
 /// let fleet = FleetSpec::new(12, 6.0, 42);
 /// let scheduler = FleetScheduler::new(&exp, &system);
-/// // The builder subsumes `run`, `run_collect`, `run_shard`, ...
 /// let report = scheduler.builder().spec(&fleet).run().unwrap().report;
 /// let rows = scheduler.builder().spec(&fleet).collect().run().unwrap();
 /// assert_eq!(rows.report, report);
@@ -1394,7 +1280,7 @@ pub struct FleetRunBuilder<'a, 's> {
     scheduler: FleetScheduler<'a>,
     fleet: Option<&'s FleetSpec>,
     feeds: Vec<ExternalDevice>,
-    intake: Option<std::sync::mpsc::Receiver<ExternalDevice>>,
+    intake: Option<Receiver<ExternalDevice>>,
     range: Option<ShardRange>,
     sink: Option<&'s mut dyn SummarySink>,
     collect: bool,
@@ -1446,7 +1332,7 @@ impl<'a, 's> FleetRunBuilder<'a, 's> {
     /// the report the moment it completes.  The run finishes when the
     /// scenario cohort, the feed chunks *and* the intake have all drained:
     /// drop the sender to close the intake.
-    pub fn intake(mut self, intake: std::sync::mpsc::Receiver<ExternalDevice>) -> Self {
+    pub fn intake(mut self, intake: Receiver<ExternalDevice>) -> Self {
         self.intake = Some(intake);
         self
     }
@@ -1460,11 +1346,12 @@ impl<'a, 's> FleetRunBuilder<'a, 's> {
     }
 
     /// Streams every completed [`DeviceSummary`] row to `sink` (e.g. a
-    /// [`SpoolWriter`](crate::shard::SpoolWriter)).  Rows arrive grouped by
-    /// lockstep chunk but in chunk-*completion* order; consumers needing an
-    /// order must sort by `device_id`.  Without a sink, rows that are not
-    /// [`collect`](FleetRunBuilder::collect)ed are dropped after folding
-    /// into the report, keeping memory bounded.
+    /// [`SpoolWriter`](crate::shard::SpoolWriter)).  Each row arrives the
+    /// moment its device completes, so the order follows device completion
+    /// across the worker pool and varies with worker scheduling; consumers
+    /// needing an order must sort by `device_id`.  Without a sink, rows that
+    /// are not [`collect`](FleetRunBuilder::collect)ed are dropped after
+    /// folding into the report, keeping memory bounded.
     pub fn sink(mut self, sink: &'s mut dyn SummarySink) -> Self {
         self.sink = Some(sink);
         self
@@ -1472,22 +1359,23 @@ impl<'a, 's> FleetRunBuilder<'a, 's> {
 
     /// Keeps every [`DeviceSummary`] row in RAM: the returned
     /// [`FleetRun::summaries`] lists the scenario cohort first (in device-id
-    /// order), then the feed cohort in the order given.  Memory grows with
-    /// the cohort; leave off for large fleets.
+    /// order), then the feed cohort in the order given, then the intake's
+    /// devices in arrival order.  Memory grows with the cohort; leave off
+    /// for large fleets.
     pub fn collect(mut self) -> Self {
         self.collect = true;
         self
     }
 
-    /// Runs the configured fleet: scenario chunks and feed chunks share one
-    /// worker pool, every completed row folds into the mergeable report (and
-    /// reaches the sink, if any), and the report is bit-identical for any
-    /// worker count.
+    /// Runs the configured fleet: scenario chunks, feed chunks and the intake
+    /// share one worker pool, every completed row folds into the mergeable
+    /// report (and reaches the sink, if any), and the report is bit-identical
+    /// for any worker count.
     ///
     /// # Errors
     ///
     /// Returns [`AdaSenseError::InvalidSpec`] if no spec was given, for
-    /// degenerate specs (including no devices in either cohort), or for a
+    /// degenerate specs (including no devices in any cohort), or for a
     /// shard range outside the fleet; propagates per-device and sink errors.
     pub fn run(self) -> Result<FleetRun, AdaSenseError> {
         let Self { scheduler, fleet, feeds, intake, range, sink, collect } = self;
@@ -1496,19 +1384,7 @@ impl<'a, 's> FleetRunBuilder<'a, 's> {
                 "FleetRunBuilder::run needs a fleet spec (FleetRunBuilder::spec)",
             ));
         };
-        if fleet.devices > 0 {
-            fleet.validate()?;
-        } else {
-            if feeds.is_empty() && intake.is_none() {
-                return Err(AdaSenseError::invalid_spec(
-                    "a fleet needs at least one device (scenario-driven or external)",
-                ));
-            }
-            if fleet.lockstep_devices == 0 {
-                return Err(AdaSenseError::invalid_spec("lockstep_devices must be non-zero"));
-            }
-            fleet.population.validate()?;
-        }
+        fleet.validate_cohorts(!feeds.is_empty() || intake.is_some())?;
         let range = range.unwrap_or_else(|| ShardRange::whole(fleet.devices));
         if range.start > range.end || range.end > fleet.devices {
             return Err(AdaSenseError::invalid_spec(format!(
@@ -1516,103 +1392,45 @@ impl<'a, 's> FleetRunBuilder<'a, 's> {
                 fleet.devices
             )));
         }
+        // Scenario chunks align to `lockstep_devices` from the range start,
+        // feeds chunk in the order given, and the intake runs last.
         let chunk = fleet.lockstep_devices as u64;
-        let chunks: Vec<std::ops::Range<u64>> = (0..range.len().div_ceil(chunk))
-            .map(|c| (range.start + c * chunk)..(range.start + (c + 1) * chunk).min(range.end))
+        let mut jobs: Vec<CohortJob> = (0..range.len().div_ceil(chunk))
+            .map(|c| {
+                let start = range.start + c * chunk;
+                CohortJob::Scenario(start..(start + chunk).min(range.end))
+            })
             .collect();
-        // Feed sources are stateful and owned, so each feed chunk sits in a
-        // take-once slot its job claims exactly once.
-        let mut feed_chunks: Vec<Mutex<Option<Vec<ExternalDevice>>>> = Vec::new();
-        let mut feeds = feeds.into_iter();
-        loop {
-            let group: Vec<ExternalDevice> = feeds.by_ref().take(fleet.lockstep_devices).collect();
-            if group.is_empty() {
-                break;
-            }
-            feed_chunks.push(Mutex::new(Some(group)));
+        let mut feeds = feeds.into_iter().peekable();
+        while feeds.peek().is_some() {
+            jobs.push(CohortJob::Feeds(feeds.by_ref().take(fleet.lockstep_devices).collect()));
         }
-        let scenario_jobs = chunks.len();
-        let feed_jobs = feed_chunks.len();
-        // The intake receiver is stateful and owned like a feed chunk, so it
-        // sits in the same kind of take-once slot.
-        let intake_jobs = usize::from(intake.is_some());
-        let intake = Mutex::new(intake);
+        jobs.extend(intake.map(CohortJob::Intake));
         let mut discard = DiscardSink;
-        let sink: &mut dyn SummarySink = sink.unwrap_or(&mut discard);
         // The aggregate and the sink share one lock: rows are observed and
-        // spooled under it in chunk-completion order.  The report is a
-        // function of the row *multiset*, so that order never shows; the
-        // collected rows are reassembled in job order below, so theirs does
-        // not either.
-        let shared = Mutex::new((FleetStats::new(), sink));
-        let observe = |rows: &[DeviceSummary]| -> Result<(), AdaSenseError> {
-            let mut guard = shared.lock().expect("no worker panicked holding the aggregate");
-            let (stats, sink) = &mut *guard;
-            for row in rows {
-                stats.observe(row);
-                sink.push(row)?;
-            }
-            Ok(())
-        };
-        let jobs = scenario_jobs + feed_jobs + intake_jobs;
-        let kept = run_jobs(scheduler.worker_threads(), jobs, |i| {
-            if i >= scenario_jobs + feed_jobs {
-                // The intake job folds each row in as its device completes,
-                // so departures are visible before the run ends.
-                let intake = intake
-                    .lock()
-                    .expect("no worker panicked holding the intake slot")
-                    .take()
-                    .expect("the intake is claimed exactly once");
-                let mut rows = Vec::new();
-                scheduler.run_intake_churn(fleet, intake, &mut |row| {
-                    observe(std::slice::from_ref(&row))?;
-                    if collect {
-                        rows.push(row);
-                    }
-                    Ok(())
-                })?;
-                return Ok(rows);
-            }
-            let rows = if i < scenario_jobs {
-                scheduler.run_chunk(fleet, chunks[i].clone())
-            } else {
-                let group = feed_chunks[i - scenario_jobs]
-                    .lock()
-                    .expect("no worker panicked holding a feed slot")
-                    .take()
-                    .expect("each feed chunk is claimed exactly once");
-                scheduler.run_feed_chunk(fleet, group)
-            }?;
-            observe(&rows)?;
-            Ok(if collect { rows } else { Vec::new() })
+        // spooled under it as their devices complete.  The report is a
+        // function of the row *multiset*, so that order never shows; kept
+        // rows are put back in admission order per job, jobs in job order.
+        let shared = Mutex::new((FleetStats::new(), sink.unwrap_or(&mut discard)));
+        let kept = run_jobs(scheduler.worker_threads(), jobs, |job| {
+            let mut rows = Vec::new();
+            scheduler.drive(fleet, job, &mut |admitted, row| {
+                let mut guard = shared.lock().expect("no worker panicked holding the aggregate");
+                let (stats, sink) = &mut *guard;
+                stats.observe(&row);
+                sink.push(&row)?;
+                if collect {
+                    rows.push((admitted, row));
+                }
+                Ok(())
+            })?;
+            rows.sort_unstable_by_key(|(admitted, _)| *admitted);
+            Ok(rows)
         })?;
-        let summaries: Vec<DeviceSummary> = kept.into_iter().flatten().collect();
         let (stats, _) = shared.into_inner().expect("no worker panicked holding the aggregate");
         Ok(FleetRun {
             report: FleetReport { controller: fleet.controller.label(), stats },
-            summaries,
-        })
-    }
-
-    /// Runs an explicit list of `(scenario, controller)` simulations over the
-    /// worker pool, returning their reports in job order.  Only the
-    /// scheduler's worker count applies here; the fleet-shaped options
-    /// (`spec`/`feeds`/`shard`/`sink`/`collect`) do not.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first simulation error encountered.
-    pub fn sweep(
-        self,
-        jobs: &[(ScenarioSpec, ControllerKind)],
-    ) -> Result<Vec<SimulationReport>, AdaSenseError> {
-        let scheduler = self.scheduler;
-        run_jobs(scheduler.worker_threads(), jobs.len(), |i| {
-            let (scenario, controller) = &jobs[i];
-            Simulator::new(scheduler.spec, scheduler.system)
-                .with_controller(*controller)
-                .run(scenario.clone())
+            summaries: kept.into_iter().flatten().map(|(_, row)| row).collect(),
         })
     }
 }
@@ -1659,64 +1477,103 @@ impl BatchPool {
     }
 }
 
-/// Runs `jobs` closures over `threads` workers pulling indices from a shared
-/// atomic queue, collecting the results in job order.  Returns the first error
-/// encountered; remaining workers stop picking up new jobs once one failed.
-fn run_jobs<T, F>(threads: usize, jobs: usize, job: F) -> Result<Vec<T>, AdaSenseError>
+/// Runs `jobs` over `threads` workers, each pulling the next owned job from
+/// one shared queue, and returns the results in job order.  Once a job fails
+/// the workers stop picking up new jobs, and the error of the first failing
+/// job in job order is returned.
+fn run_jobs<J, T, F>(threads: usize, jobs: Vec<J>, job: F) -> Result<Vec<T>, AdaSenseError>
 where
+    J: Send,
     T: Send,
-    F: Fn(usize) -> Result<T, AdaSenseError> + Sync,
+    F: Fn(J) -> Result<T, AdaSenseError> + Sync,
 {
-    if jobs == 0 {
-        return Ok(Vec::new());
-    }
-    let next = AtomicUsize::new(0);
-    let failed = std::sync::atomic::AtomicBool::new(false);
-    let results: Vec<Mutex<Option<Result<T, AdaSenseError>>>> =
-        (0..jobs).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads.clamp(1, jobs) {
-            scope.spawn(|| loop {
-                if failed.load(Ordering::Relaxed) {
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs {
-                    break;
-                }
-                let outcome = job(i);
-                if outcome.is_err() {
-                    failed.store(true, Ordering::Relaxed);
-                }
-                *results[i].lock().expect("no worker panicked holding the slot lock") =
-                    Some(outcome);
-            });
-        }
+    let workers = threads.clamp(1, jobs.len().max(1));
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    let failed = AtomicBool::new(false);
+    let mut done: Vec<(usize, Result<T, AdaSenseError>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    while !failed.load(Ordering::Relaxed) {
+                        let Some((i, next)) =
+                            queue.lock().expect("no worker panicked holding the queue").next()
+                        else {
+                            break;
+                        };
+                        let outcome = job(next);
+                        failed.fetch_or(outcome.is_err(), Ordering::Relaxed);
+                        done.push((i, outcome));
+                    }
+                    done
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|handle| {
+                handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
     });
-
-    let mut out = Vec::with_capacity(jobs);
-    for slot in results {
-        match slot.into_inner().expect("no worker panicked holding the slot lock") {
-            Some(Ok(value)) => out.push(value),
-            Some(Err(error)) => return Err(error),
-            // A job may be unstarted only if an earlier job failed; surface that
-            // error instead.
-            None => break,
-        }
-    }
-    if out.len() < jobs {
-        // Some job failed (its slot held the error) or was skipped after a
-        // failure; find and return the error.
-        return Err(AdaSenseError::simulation("a fleet job failed before completing"));
-    }
-    Ok(out)
+    done.sort_unstable_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, outcome)| outcome).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ingest::{telemetry_channel, TraceRecorder};
+    use crate::scenario::{FaultLevel, RoutinePreset};
     use crate::simulation::tests::shared_system;
+
+    /// The report of a plain run of `fleet` on `threads` workers.
+    fn run_report(threads: usize, fleet: &FleetSpec) -> Result<FleetReport, AdaSenseError> {
+        let (spec, system) = shared_system();
+        let scheduler = FleetScheduler::new(spec, system).with_threads(threads);
+        Ok(scheduler.builder().spec(fleet).run()?.report)
+    }
+
+    /// The kept rows and report of a collected run of `fleet` on `threads`
+    /// workers.
+    fn run_rows(threads: usize, fleet: &FleetSpec) -> Result<FleetRun, AdaSenseError> {
+        let (spec, system) = shared_system();
+        FleetScheduler::new(spec, system)
+            .with_threads(threads)
+            .builder()
+            .spec(fleet)
+            .collect()
+            .run()
+    }
+
+    /// Devices `device_ids` of `fleet` replayed from their recorded streams as
+    /// channel-fed external devices numbered from `first_id`.
+    fn replayed_feeds(
+        fleet: &FleetSpec,
+        device_ids: std::ops::Range<u64>,
+        first_id: u64,
+    ) -> Vec<ExternalDevice> {
+        let (spec, system) = shared_system();
+        let scheduler = FleetScheduler::new(spec, system);
+        device_ids
+            .map(|device_id| {
+                let plan = fleet.device_plan(device_id);
+                let recorder = TraceRecorder::new(scheduler.device_source(fleet, &plan));
+                let duration_s = plan.scenario.duration_s();
+                let mut runtime =
+                    DeviceRuntime::for_source(spec, system, fleet.controller, recorder, duration_s)
+                        .unwrap()
+                        .with_classifier(system.backend(plan.backend));
+                runtime.run_to_completion();
+                let trace = runtime.source().trace();
+                let (mut sender, source) = telemetry_channel(trace.len() + 1);
+                sender.send_trace(trace).unwrap();
+                ExternalDevice::new(first_id + device_id, source)
+                    .with_metadata(plan.seed, plan.routine)
+                    .with_backend(plan.backend)
+            })
+            .collect()
+    }
 
     #[test]
     fn device_seeds_are_deterministic_and_decorrelated() {
@@ -1732,17 +1589,18 @@ mod tests {
     fn fleet_runs_are_bit_identical_across_worker_counts() {
         let (spec, system) = shared_system();
         let fleet = FleetSpec { lockstep_devices: 5, ..FleetSpec::new(12, 24.0, 7) };
-        let single = FleetScheduler::new(spec, system).with_threads(1).run(&fleet).unwrap();
+        let single = run_report(1, &fleet).unwrap();
         for threads in [4, 8] {
-            let parallel =
-                FleetScheduler::new(spec, system).with_threads(threads).run(&fleet).unwrap();
+            let parallel = run_report(threads, &fleet).unwrap();
             assert_eq!(single, parallel, "{threads}-thread run must be bit-identical");
             assert_eq!(single.encode(), parallel.encode(), "encodings must match bytewise");
         }
         assert_eq!(single.len(), 12);
-        let collected = FleetScheduler::new(spec, system).run_collect(&fleet).unwrap();
+        let collected = run_rows(0, &fleet).unwrap();
         assert_eq!(collected.report, single, "collecting rows must not change the report");
         assert!(collected.summaries.iter().enumerate().all(|(i, d)| d.device_id == i as u64));
+        let plain = FleetScheduler::new(spec, system).builder().spec(&fleet).run().unwrap();
+        assert!(plain.summaries.is_empty(), "no collect() means no rows kept");
     }
 
     #[test]
@@ -1750,11 +1608,17 @@ mod tests {
         let (spec, system) = shared_system();
         let scheduler = FleetScheduler::new(spec, system).with_threads(2);
         let chunked = scheduler
-            .run(&FleetSpec { lockstep_devices: 3, ..FleetSpec::new(8, 20.0, 11) })
-            .unwrap();
+            .builder()
+            .spec(&FleetSpec { lockstep_devices: 3, ..FleetSpec::new(8, 20.0, 11) })
+            .run()
+            .unwrap()
+            .report;
         let unchunked = scheduler
-            .run(&FleetSpec { lockstep_devices: 1, ..FleetSpec::new(8, 20.0, 11) })
-            .unwrap();
+            .builder()
+            .spec(&FleetSpec { lockstep_devices: 1, ..FleetSpec::new(8, 20.0, 11) })
+            .run()
+            .unwrap()
+            .report;
         assert_eq!(chunked, unchunked, "batching must not change any device's outcome");
     }
 
@@ -1762,7 +1626,7 @@ mod tests {
     fn fleet_devices_match_standalone_simulations() {
         let (spec, system) = shared_system();
         let fleet = FleetSpec::new(4, 20.0, 3);
-        let run = FleetScheduler::new(spec, system).with_threads(2).run_collect(&fleet).unwrap();
+        let run = run_rows(2, &fleet).unwrap();
         for device in &run.summaries {
             let scenario = ScenarioSpec::random(fleet.setting, fleet.duration_s, device.seed);
             let standalone = Simulator::new(spec, system)
@@ -1777,16 +1641,15 @@ mod tests {
 
     #[test]
     fn intensity_fleet_uses_the_bank_path() {
-        let (spec, system) = shared_system();
         let fleet =
             FleetSpec { controller: ControllerKind::IntensityBased, ..FleetSpec::new(3, 12.0, 5) };
-        let run = FleetScheduler::new(spec, system).with_threads(2).run_collect(&fleet).unwrap();
+        let run = run_rows(2, &fleet).unwrap();
         assert_eq!(run.report.len(), 3);
         assert!(run.summaries.iter().all(|d| d.epochs > 0));
     }
 
     #[test]
-    fn run_scenarios_preserves_job_order() {
+    fn sweep_preserves_job_order() {
         let (spec, system) = shared_system();
         let jobs = vec![
             (ScenarioSpec::sit_then_walk(6.0, 6.0), ControllerKind::StaticHigh),
@@ -1795,8 +1658,7 @@ mod tests {
                 ControllerKind::Spot { stability_threshold: 2 },
             ),
         ];
-        let reports =
-            FleetScheduler::new(spec, system).with_threads(2).run_scenarios(&jobs).unwrap();
+        let reports = FleetScheduler::new(spec, system).with_threads(2).sweep(&jobs).unwrap();
         assert_eq!(reports.len(), 2);
         assert_eq!(reports[0].controller, jobs[0].1.label());
         assert_eq!(reports[1].controller, jobs[1].1.label());
@@ -1811,10 +1673,12 @@ mod tests {
     fn degenerate_fleets_are_rejected() {
         let (spec, system) = shared_system();
         let scheduler = FleetScheduler::new(spec, system);
-        assert!(scheduler.run(&FleetSpec::new(0, 30.0, 1)).is_err());
-        assert!(scheduler.run(&FleetSpec::new(4, 1.0, 1)).is_err());
+        assert!(scheduler.builder().spec(&FleetSpec::new(0, 30.0, 1)).run().is_err());
+        assert!(scheduler.builder().spec(&FleetSpec::new(4, 1.0, 1)).run().is_err());
         assert!(scheduler
-            .run(&FleetSpec { lockstep_devices: 0, ..FleetSpec::new(4, 30.0, 1) })
+            .builder()
+            .spec(&FleetSpec { lockstep_devices: 0, ..FleetSpec::new(4, 30.0, 1) })
+            .run()
             .is_err());
     }
 
@@ -1825,17 +1689,15 @@ mod tests {
             ScenarioSpec::sit_then_walk(0.5, 0.5), // too short: simulation error
             ControllerKind::StaticHigh,
         )];
-        assert!(FleetScheduler::new(spec, system).run_scenarios(&jobs).is_err());
+        assert!(FleetScheduler::new(spec, system).sweep(&jobs).is_err());
     }
 
     #[test]
     fn channel_fed_cohorts_join_scenario_fleets() {
-        use crate::ingest::{telemetry_channel, TraceRecorder};
-
         let (spec, system) = shared_system();
         let fleet = FleetSpec::new(4, 20.0, 3);
         let scheduler = FleetScheduler::new(spec, system).with_threads(2);
-        let baseline = scheduler.run_collect(&fleet).unwrap();
+        let baseline = scheduler.builder().spec(&fleet).collect().run().unwrap();
 
         // Record every device's stream, then replay the recordings as a
         // channel-fed cohort running alongside the same scenario cohort.
@@ -1862,7 +1724,7 @@ mod tests {
                     .with_backend(plan.backend),
             );
         }
-        let combined = scheduler.run_with_feeds(&fleet, feeds).unwrap();
+        let combined = scheduler.builder().spec(&fleet).feeds(feeds).collect().run().unwrap();
         for feeder in feeders {
             feeder.join().expect("feeder thread").expect("all batches accepted");
         }
@@ -1895,8 +1757,6 @@ mod tests {
 
     #[test]
     fn feed_only_fleets_run_with_zero_scenario_devices() {
-        use crate::ingest::{telemetry_channel, TraceRecorder};
-
         let (spec, system) = shared_system();
         let fleet = FleetSpec::new(1, 12.0, 5);
         let scheduler = FleetScheduler::new(spec, system).with_threads(2);
@@ -1918,7 +1778,11 @@ mod tests {
         let feeder = std::thread::spawn(move || tx.send_trace(&trace));
         let empty = FleetSpec { devices: 0, ..fleet };
         let report = scheduler
-            .run_with_feeds(&empty, vec![ExternalDevice::new(7, source)])
+            .builder()
+            .spec(&empty)
+            .feeds(vec![ExternalDevice::new(7, source)])
+            .collect()
+            .run()
             .expect("feed-only fleets are valid");
         feeder.join().expect("feeder thread").expect("all batches accepted");
         assert_eq!(report.summaries.len(), 1);
@@ -1932,7 +1796,7 @@ mod tests {
         let (spec, system) = shared_system();
         let scheduler = FleetScheduler::new(spec, system);
         let empty = FleetSpec { devices: 0, ..FleetSpec::new(1, 12.0, 5) };
-        assert!(scheduler.run_with_feeds(&empty, Vec::new()).is_err());
+        assert!(scheduler.builder().spec(&empty).feeds(Vec::new()).collect().run().is_err());
     }
 
     #[test]
@@ -1940,14 +1804,14 @@ mod tests {
         let (spec, system) = shared_system();
         let fleet = FleetSpec { lockstep_devices: 4, ..FleetSpec::new(12, 20.0, 7) };
         let scheduler = FleetScheduler::new(spec, system).with_threads(2);
-        let monolithic = scheduler.run(&fleet).unwrap();
+        let monolithic = scheduler.builder().spec(&fleet).run().unwrap().report;
         for shards in [1, 3, 4, 6] {
             let ranges = fleet.shards(shards);
             assert_eq!(ranges.len(), shards);
             assert_eq!(ranges.iter().map(ShardRange::len).sum::<u64>(), fleet.devices);
             let mut merged = FleetReport::new(fleet.controller.label());
             for range in ranges {
-                let part = scheduler.run_shard(&fleet, range, &mut DiscardSink).unwrap();
+                let part = scheduler.builder().spec(&fleet).shard(range).run().unwrap().report;
                 merged.merge(&part).unwrap();
             }
             assert_eq!(merged, monolithic, "{shards} shards must merge into the monolithic run");
@@ -1956,7 +1820,7 @@ mod tests {
     }
 
     #[test]
-    fn run_shard_spools_every_row() {
+    fn sinks_spool_every_row() {
         use crate::shard::{SpoolReader, SpoolWriter};
 
         let (spec, system) = shared_system();
@@ -1964,26 +1828,31 @@ mod tests {
         let scheduler = FleetScheduler::new(spec, system).with_threads(4);
         let mut bytes = Vec::new();
         let mut writer = SpoolWriter::new(&mut bytes).unwrap();
-        let report =
-            scheduler.run_shard(&fleet, ShardRange::whole(fleet.devices), &mut writer).unwrap();
+        let report = scheduler
+            .builder()
+            .spec(&fleet)
+            .shard(ShardRange::whole(fleet.devices))
+            .sink(&mut writer)
+            .run()
+            .unwrap()
+            .report;
         assert_eq!(writer.rows(), fleet.devices);
         writer.finish().unwrap();
 
         let mut rows: Vec<DeviceSummary> =
             SpoolReader::new(&bytes[..]).unwrap().collect::<Result<_, _>>().unwrap();
         rows.sort_by_key(|r| r.device_id);
-        let collected = scheduler.run_collect(&fleet).unwrap();
+        let collected = scheduler.builder().spec(&fleet).collect().run().unwrap();
         assert_eq!(rows, collected.summaries, "spooled rows must round-trip bit-exactly");
         assert_eq!(report, collected.report);
     }
 
     #[test]
     fn tx_enabled_fleets_price_every_classified_epoch_deterministically() {
-        let (spec, system) = shared_system();
         let fleet =
             FleetSpec { tx_ratio: Some(2), lockstep_devices: 4, ..FleetSpec::new(8, 24.0, 17) };
-        let single = FleetScheduler::new(spec, system).with_threads(1).run(&fleet).unwrap();
-        let parallel = FleetScheduler::new(spec, system).with_threads(4).run(&fleet).unwrap();
+        let single = run_report(1, &fleet).unwrap();
+        let parallel = run_report(4, &fleet).unwrap();
         assert_eq!(single, parallel, "tx fleets must stay worker-count deterministic");
         assert_eq!(single.encode(), parallel.encode(), "encodings must match bytewise");
         // Every classified epoch transmits under exactly one policy.
@@ -1993,9 +1862,7 @@ mod tests {
         let text = single.to_table_string();
         assert!(text.contains("transmission breakdown:"), "missing tx section in:\n{text}");
         // A radio-off fleet keeps the section (and the counters) out entirely.
-        let off = FleetScheduler::new(spec, system)
-            .run(&FleetSpec { tx_ratio: None, ..fleet.clone() })
-            .unwrap();
+        let off = run_report(0, &FleetSpec { tx_ratio: None, ..fleet.clone() }).unwrap();
         assert_eq!(off.stats.tx_epochs.iter().sum::<u64>(), 0);
         assert!(!off.to_table_string().contains("transmission breakdown:"));
         // The radio only ever adds charge on top of the sensing cost.
@@ -2010,12 +1877,23 @@ mod tests {
         let fleet =
             FleetSpec { tx_ratio: Some(4), lockstep_devices: 4, ..FleetSpec::new(12, 24.0, 23) };
         let scheduler = FleetScheduler::new(spec, system).with_threads(2);
-        let monolithic = scheduler.run(&fleet).unwrap();
+        let monolithic = scheduler.builder().spec(&fleet).run().unwrap().report;
         let mut bytes = Vec::new();
         let mut writer = SpoolWriter::new(&mut bytes).unwrap();
         let mut merged = FleetReport::new(fleet.controller.label());
         for range in fleet.shards(3) {
-            merged.merge(&scheduler.run_shard(&fleet, range, &mut writer).unwrap()).unwrap();
+            merged
+                .merge(
+                    &scheduler
+                        .builder()
+                        .spec(&fleet)
+                        .shard(range)
+                        .sink(&mut writer)
+                        .run()
+                        .unwrap()
+                        .report,
+                )
+                .unwrap();
         }
         writer.finish().unwrap();
         assert_eq!(merged.encode(), monolithic.encode(), "shards must merge bytewise");
@@ -2037,9 +1915,8 @@ mod tests {
 
     #[test]
     fn reports_encode_and_decode_round_trip() {
-        let (spec, system) = shared_system();
         let fleet = FleetSpec::new(5, 20.0, 9);
-        let report = FleetScheduler::new(spec, system).run(&fleet).unwrap();
+        let report = run_report(0, &fleet).unwrap();
         let bytes = report.encode();
         let decoded = FleetReport::decode(&bytes).unwrap();
         assert_eq!(decoded, report);
@@ -2063,7 +1940,7 @@ mod tests {
         let fleet = FleetSpec::new(4, 20.0, 3);
         let scheduler = FleetScheduler::new(spec, system);
         let range = ShardRange { start: 0, end: fleet.devices + 1 };
-        assert!(scheduler.run_shard(&fleet, range, &mut DiscardSink).is_err());
+        assert!(scheduler.builder().spec(&fleet).shard(range).run().is_err());
     }
 
     #[test]
@@ -2085,14 +1962,13 @@ mod tests {
 
     #[test]
     fn population_fleets_are_bit_identical_across_worker_counts() {
-        let (spec, system) = shared_system();
         let fleet = FleetSpec {
             population: crate::scenario::PopulationSpec::mixed(crate::scenario::FaultLevel::Heavy),
             lockstep_devices: 4,
             ..FleetSpec::new(10, 24.0, 13)
         };
-        let single = FleetScheduler::new(spec, system).with_threads(1).run(&fleet).unwrap();
-        let parallel = FleetScheduler::new(spec, system).with_threads(4).run(&fleet).unwrap();
+        let single = run_report(1, &fleet).unwrap();
+        let parallel = run_report(4, &fleet).unwrap();
         assert_eq!(single, parallel, "population fleets must stay worker-count deterministic");
         assert!(
             single.stats.faulted_epochs > 0,
@@ -2110,15 +1986,14 @@ mod tests {
 
     #[test]
     fn mixed_backend_fleets_are_bit_identical_across_worker_counts() {
-        let (spec, system) = shared_system();
         let fleet = FleetSpec {
             population: PopulationSpec::legacy()
                 .with_backend(crate::scenario::BackendSpec::half_int8()),
             lockstep_devices: 4,
             ..FleetSpec::new(12, 24.0, 21)
         };
-        let single = FleetScheduler::new(spec, system).with_threads(1).run(&fleet).unwrap();
-        let parallel = FleetScheduler::new(spec, system).with_threads(4).run(&fleet).unwrap();
+        let single = run_report(1, &fleet).unwrap();
+        let parallel = run_report(4, &fleet).unwrap();
         assert_eq!(single, parallel, "mixed-backend fleets must stay worker-count deterministic");
         let backends: Vec<&str> = single.stats.backends.keys().map(String::as_str).collect();
         assert_eq!(
@@ -2137,15 +2012,14 @@ mod tests {
 
     #[test]
     fn cascade_cohort_fleets_are_bit_identical_across_worker_counts() {
-        let (spec, system) = shared_system();
         let fleet = FleetSpec {
             population: PopulationSpec::legacy()
                 .with_backend(crate::scenario::BackendSpec::half_cascade()),
             lockstep_devices: 4,
             ..FleetSpec::new(12, 24.0, 21)
         };
-        let single = FleetScheduler::new(spec, system).with_threads(1).run(&fleet).unwrap();
-        let parallel = FleetScheduler::new(spec, system).with_threads(4).run(&fleet).unwrap();
+        let single = run_report(1, &fleet).unwrap();
+        let parallel = run_report(4, &fleet).unwrap();
         assert_eq!(single, parallel, "cascade cohorts must stay worker-count deterministic");
         assert_eq!(single.encode(), parallel.encode(), "encodings must match bytewise");
         let backends: Vec<&str> = single.stats.backends.keys().map(String::as_str).collect();
@@ -2170,7 +2044,7 @@ mod tests {
                 .with_backend(crate::scenario::BackendSpec::Uniform(BackendKind::Cascade)),
             ..FleetSpec::new(3, 20.0, 3)
         };
-        let run = FleetScheduler::new(spec, system).with_threads(2).run_collect(&fleet).unwrap();
+        let run = run_rows(2, &fleet).unwrap();
         for device in &run.summaries {
             assert_eq!(device.backend, "cascade");
             assert_eq!(
@@ -2200,7 +2074,7 @@ mod tests {
                 .with_backend(crate::scenario::BackendSpec::Uniform(BackendKind::Int8)),
             ..FleetSpec::new(3, 20.0, 3)
         };
-        let run = FleetScheduler::new(spec, system).with_threads(2).run_collect(&fleet).unwrap();
+        let run = run_rows(2, &fleet).unwrap();
         for device in &run.summaries {
             assert_eq!(device.backend, "int8");
             let scenario = ScenarioSpec::random(fleet.setting, fleet.duration_s, device.seed);
@@ -2218,16 +2092,17 @@ mod tests {
     fn backend_assignment_does_not_perturb_the_rest_of_the_device_stream() {
         // Switching a cohort's backend must change classifications only —
         // seeds, routines and schedules (and thus durations) stay identical.
-        let (spec, system) = shared_system();
         let base = FleetSpec::new(6, 20.0, 17);
-        let f64_fleet = FleetScheduler::new(spec, system).run_collect(&base).unwrap();
-        let int8_fleet = FleetScheduler::new(spec, system)
-            .run_collect(&FleetSpec {
+        let f64_fleet = run_rows(0, &base).unwrap();
+        let int8_fleet = run_rows(
+            0,
+            &FleetSpec {
                 population: PopulationSpec::legacy()
                     .with_backend(crate::scenario::BackendSpec::Uniform(BackendKind::Int8)),
                 ..base
-            })
-            .unwrap();
+            },
+        )
+        .unwrap();
         for (a, b) in f64_fleet.summaries.iter().zip(&int8_fleet.summaries) {
             assert_eq!(a.seed, b.seed);
             assert_eq!(a.routine, b.routine);
@@ -2248,18 +2123,16 @@ mod tests {
 
     #[test]
     fn invalid_backend_mixes_are_rejected() {
-        let (spec, system) = shared_system();
         let mut fleet = FleetSpec::new(2, 20.0, 1);
         fleet.population.backend = crate::scenario::BackendSpec::Mixed { int8_fraction: 1.5 };
-        assert!(FleetScheduler::new(spec, system).run(&fleet).is_err());
+        assert!(run_report(0, &fleet).is_err());
     }
 
     #[test]
     fn legacy_population_reproduces_the_historic_fleet() {
-        let (spec, system) = shared_system();
         let fleet = FleetSpec::new(4, 20.0, 3);
         assert_eq!(fleet.population, crate::scenario::PopulationSpec::legacy());
-        let run = FleetScheduler::new(spec, system).with_threads(2).run_collect(&fleet).unwrap();
+        let run = run_rows(2, &fleet).unwrap();
         for device in &run.summaries {
             assert_eq!(device.routine, "dwell-Medium");
             assert_eq!(device.faulted_epochs, 0, "legacy populations are fault-free");
@@ -2268,18 +2141,20 @@ mod tests {
 
     #[test]
     fn invalid_populations_are_rejected() {
-        let (spec, system) = shared_system();
         let mut fleet = FleetSpec::new(4, 30.0, 1);
         fleet.population.prior.mix = vec![(crate::scenario::RoutinePreset::OfficeDay, -2.0)];
-        assert!(FleetScheduler::new(spec, system).run(&fleet).is_err());
+        assert!(run_report(0, &fleet).is_err());
     }
 
     #[test]
     fn report_rendering_mentions_every_spot_state() {
         let (spec, system) = shared_system();
-        let report =
-            FleetScheduler::new(spec, system).with_threads(2).run(&FleetSpec::new(4, 20.0, 9));
-        let text = report.unwrap().to_table_string();
+        let report = FleetScheduler::new(spec, system)
+            .with_threads(2)
+            .builder()
+            .spec(&FleetSpec::new(4, 20.0, 9))
+            .run();
+        let text = report.unwrap().report.to_table_string();
         for config in SensorConfig::paper_pareto_front() {
             assert!(text.contains(&config.label()), "missing {config} in:\n{text}");
         }
@@ -2293,30 +2168,13 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_every_legacy_entry_point() {
-        let (spec, system) = shared_system();
-        let fleet = FleetSpec::new(5, 20.0, 11);
-        let scheduler = FleetScheduler::new(spec, system).with_threads(2);
-
-        let legacy_report = scheduler.run(&fleet).unwrap();
-        let via_builder = scheduler.builder().spec(&fleet).run().unwrap();
-        assert_eq!(via_builder.report, legacy_report);
-        assert!(via_builder.summaries.is_empty(), "no collect() means no rows kept");
-
-        let legacy_rows = scheduler.run_collect(&fleet).unwrap();
-        let collected = scheduler.builder().spec(&fleet).collect().run().unwrap();
-        assert_eq!(collected, legacy_rows);
-    }
-
-    #[test]
     fn builder_composes_shard_sink_and_collect() {
         let (spec, system) = shared_system();
         let fleet = FleetSpec::new(6, 20.0, 7);
         let scheduler = FleetScheduler::new(spec, system).with_threads(2);
-        let whole = scheduler.run_collect(&fleet).unwrap();
+        let whole = scheduler.builder().spec(&fleet).collect().run().unwrap();
 
-        // Sharded + collected + spooled in one run: the legacy API never
-        // allowed this combination.
+        // Sharded + collected + spooled in one run.
         let range = ShardRange { start: 2, end: 5 };
         let mut spool = Vec::new();
         let shard = {
@@ -2343,22 +2201,85 @@ mod tests {
         let spooled: Vec<DeviceSummary> =
             crate::shard::SpoolReader::new(&spool[..]).unwrap().collect::<Result<_, _>>().unwrap();
         assert_eq!(spooled.len(), 3, "the sink saw the same rows");
-        assert_eq!(shard.report, scheduler.run_shard(&fleet, range, &mut DiscardSink).unwrap());
+        assert_eq!(
+            shard.report,
+            scheduler.builder().spec(&fleet).shard(range).run().unwrap().report
+        );
     }
 
     #[test]
-    fn builder_sweep_matches_run_scenarios() {
+    fn feed_and_intake_fleets_validate_the_whole_spec() {
         let (spec, system) = shared_system();
+        let scheduler = FleetScheduler::new(spec, system);
+        let feed_only = FleetSpec { devices: 0, tx_ratio: Some(0), ..FleetSpec::new(1, 12.0, 5) };
+        let (_, source) = telemetry_channel(1);
+        let err = scheduler.builder().spec(&feed_only).feed(ExternalDevice::new(7, source)).run();
+        assert!(err.unwrap_err().to_string().contains("tx_ratio"), "feed-only fleets are checked");
+        let (_, intake) = std::sync::mpsc::channel();
+        assert!(scheduler.builder().spec(&feed_only).intake(intake).run().is_err());
+        // The duration bounds scenario devices only.
+        let short = FleetSpec { tx_ratio: None, duration_s: 0.0, ..feed_only };
+        let (_, source) = telemetry_channel(1);
+        assert!(scheduler
+            .builder()
+            .spec(&short)
+            .feed(ExternalDevice::new(7, source))
+            .run()
+            .is_ok());
+    }
+
+    #[test]
+    fn scenario_feed_and_intake_cohorts_share_one_run() {
+        let (spec, system) = shared_system();
+        let fleet = FleetSpec { lockstep_devices: 3, ..FleetSpec::new(4, 20.0, 29) };
+        let feed_only = FleetSpec { devices: 0, ..fleet.clone() };
+        let feeds = || replayed_feeds(&fleet, 0..3, 100);
+        let arrivals = || {
+            let (sender, intake) = std::sync::mpsc::channel();
+            for device in replayed_feeds(&fleet, 1..4, 200) {
+                sender.send(device).unwrap();
+            }
+            intake
+        };
+        let combined = |threads| {
+            let scheduler = FleetScheduler::new(spec, system).with_threads(threads);
+            scheduler.builder().spec(&fleet).feeds(feeds()).intake(arrivals()).collect().run()
+        };
+        let single = combined(1).unwrap();
+        let ids: Vec<u64> = single.summaries.iter().map(|row| row.device_id).collect();
+        assert_eq!(ids, [0, 1, 2, 3, 100, 101, 102, 201, 202, 203], "scenario, feed, intake order");
+        assert_eq!(combined(4).unwrap().report.encode(), single.report.encode());
+
         let scheduler = FleetScheduler::new(spec, system).with_threads(2);
-        let jobs = vec![
-            (ScenarioSpec::sit_then_walk(20.0, 20.0), ControllerKind::StaticHigh),
-            (
-                ScenarioSpec::sit_then_walk(15.0, 25.0),
-                ControllerKind::Spot { stability_threshold: 2 },
-            ),
-        ];
-        let legacy = scheduler.run_scenarios(&jobs).unwrap();
-        let via_builder = scheduler.builder().sweep(&jobs).unwrap();
-        assert_eq!(via_builder, legacy);
+        let mut merged = scheduler.builder().spec(&fleet).run().unwrap().report;
+        let fed = scheduler.builder().spec(&feed_only).feeds(feeds()).run().unwrap().report;
+        let joined = scheduler.builder().spec(&feed_only).intake(arrivals()).run().unwrap().report;
+        merged.merge(&fed).unwrap();
+        merged.merge(&joined).unwrap();
+        assert_eq!(merged.encode(), single.report.encode(), "one run must equal the merged parts");
+    }
+
+    #[test]
+    fn fault_exposure_reaches_every_scenario_row() {
+        let (spec, system) = shared_system();
+        let fleet = FleetSpec {
+            population: PopulationSpec::single(RoutinePreset::OfficeDay, FaultLevel::Heavy),
+            lockstep_devices: 3,
+            ..FleetSpec::new(6, 30.0, 41)
+        };
+        let scheduler = FleetScheduler::new(spec, system).with_threads(2);
+        let run = scheduler.builder().spec(&fleet).collect().run().unwrap();
+        for row in &run.summaries {
+            let plan = fleet.device_plan(row.device_id);
+            let source = scheduler.device_source(&fleet, &plan);
+            let duration_s = plan.scenario.duration_s();
+            let mut standalone =
+                DeviceRuntime::for_source(spec, system, fleet.controller, source, duration_s)
+                    .unwrap()
+                    .with_classifier(system.backend(plan.backend));
+            standalone.run_to_completion();
+            assert_eq!(row.faulted_epochs, standalone.source().faulted_captures());
+        }
+        assert!(run.summaries.iter().any(|row| row.faulted_epochs > 0), "heavy faults must show");
     }
 }

@@ -1003,11 +1003,12 @@ pub(crate) fn shard_ranges(devices: u64, lockstep: u64, shards: usize) -> Vec<Sh
 // Summary sinks and the on-disk spool
 // ---------------------------------------------------------------------------
 
-/// Receives completed [`DeviceSummary`] rows as lockstep chunks finish.
+/// Receives completed [`DeviceSummary`] rows as their devices finish.
 ///
-/// Rows arrive grouped by chunk but in chunk-**completion** order, which
-/// depends on worker scheduling; consumers must not rely on row order (sort
-/// by `device_id` when order matters).  The mergeable
+/// Each row arrives the moment its device completes, so rows come in
+/// device-**completion** order across the worker pool, which depends on
+/// worker scheduling; consumers must not rely on row order (sort by
+/// `device_id` when order matters).  The mergeable
 /// [`FleetReport`](crate::fleet::FleetReport) is deliberately insensitive to
 /// this: its state is identical for any arrival order.
 pub trait SummarySink: Send {
@@ -1031,7 +1032,7 @@ impl SummarySink for DiscardSink {
 }
 
 impl SummarySink for Vec<DeviceSummary> {
-    /// Collects rows in arrival (chunk-completion) order.
+    /// Collects rows in arrival (device-completion) order.
     fn push(&mut self, row: &DeviceSummary) -> Result<(), AdaSenseError> {
         self.push(row.clone());
         Ok(())

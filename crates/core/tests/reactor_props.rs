@@ -141,7 +141,8 @@ proptest! {
         let (spec, system) = shared_system();
         let fleet = test_fleet(seed);
         let scheduler = FleetScheduler::new(spec, system);
-        let reference = scheduler.run_collect(&fleet).expect("reference run succeeds");
+        let reference =
+            scheduler.builder().spec(&fleet).collect().run().expect("reference run succeeds");
 
         let traces = record_traces(&fleet);
         let stream_len =

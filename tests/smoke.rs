@@ -30,10 +30,11 @@ fn quick_spec_trains_and_simulates_the_full_closed_loop() {
     // concurrently (one chunk would clamp both runs to a single worker).
     let fleet = FleetSpec { lockstep_devices: 2, ..FleetSpec::new(6, 20.0, 42) };
     let scheduler = FleetScheduler::new(&spec, &trained);
-    let parallel = scheduler.with_threads(2).run(&fleet).expect("fleet runs");
+    let parallel =
+        scheduler.with_threads(2).builder().spec(&fleet).run().expect("fleet runs").report;
     assert_eq!(parallel.len(), 6, "one summary per device");
     assert!(parallel.mean_current_ua() > 0.0);
-    let serial = scheduler.with_threads(1).run(&fleet).expect("fleet runs");
+    let serial = scheduler.with_threads(1).builder().spec(&fleet).run().expect("fleet runs").report;
     assert_eq!(serial, parallel, "fleet reports must not depend on the worker count");
 
     // The scenario library drives a heterogeneous faulted cohort through the
@@ -43,8 +44,10 @@ fn quick_spec_trains_and_simulates_the_full_closed_loop() {
         population: PopulationSpec::mixed(FaultLevel::Heavy),
         ..FleetSpec::new(6, 20.0, 42)
     };
-    let parallel = scheduler.with_threads(2).run(&cohort).expect("cohort runs");
-    let serial = scheduler.with_threads(1).run(&cohort).expect("cohort runs");
+    let parallel =
+        scheduler.with_threads(2).builder().spec(&cohort).run().expect("cohort runs").report;
+    let serial =
+        scheduler.with_threads(1).builder().spec(&cohort).run().expect("cohort runs").report;
     assert_eq!(serial, parallel, "scenario cohorts must not depend on the worker count");
     assert!(!parallel.routine_breakdown().is_empty(), "the cohort reports per-routine stats");
 }
