@@ -27,6 +27,22 @@
 //! full the decoded batch waits in a small overflow queue and the connection
 //! is *parked* (dropped from the poll set) until the runtime drains it.
 //!
+//! # Dialing
+//!
+//! Dials interleave with the poll loop instead of preceding it.  A
+//! connection is *unanswered* from its handshake write until its first byte
+//! arrives or it ends; each pass dials only while its address has fewer than
+//! `MAX_UNANSWERED` (64) unanswered connections, and the remaining feeds
+//! wait in `Dialing` — spending no redial budget — until later passes, after
+//! the connected feeds have been read.  64 is half of std's 128-entry TCP
+//! listen backlog, so this reactor alone never overflows a listener's accept
+//! queue (where the kernel drops SYNs and a blocking connect stalls for whole
+//! 1 s retransmit timeouts).  The window is per address because the backlog
+//! belongs to one listener: a peer that accepts and never answers fills only
+//! its own window, and feeds on other addresses keep dialing.  The connect
+//! itself still blocks, so a slow remote peer can cost one round-trip time
+//! per dial; on loopback a connect with backlog room takes microseconds.
+//!
 //! # Failure handling
 //!
 //! * **Torn connection** (EOF or I/O error before the END frame): the
@@ -40,12 +56,13 @@
 //!   closes (the device simply ends early) and every other feed is
 //!   untouched.  One bad client cannot take down the fleet.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::Arc;
 use std::time::Instant;
 
 use polling::{poll_fds, PollFd, POLLIN};
@@ -65,6 +82,11 @@ const READ_BLOCK: usize = 8192;
 /// Decoded-but-undelivered batches a feed may hold before its connection is
 /// parked.  This is the reactor-side overflow on top of the channel ring.
 const PARK_THRESHOLD: usize = 32;
+
+/// Unanswered connections (dialed, no byte received yet) the reactor keeps
+/// per feed address: half of std's 128-entry TCP listen backlog, so the
+/// reactor alone can never overflow a listener's accept queue.
+const MAX_UNANSWERED: usize = 64;
 
 /// Counters and outcomes for one [`IngestReactor::run`], returned when every
 /// feed has completed or failed.
@@ -111,6 +133,13 @@ enum FeedState {
     Departed,
     /// Gave up; error recorded.
     Failed,
+}
+
+impl FeedState {
+    /// Whether the feed is done: nothing left to dial, read or deliver.
+    fn is_terminal(self) -> bool {
+        matches!(self, Self::Completed | Self::Departed | Self::Failed)
+    }
 }
 
 /// One feed transport: loopback/remote TCP, or a Unix-domain socket for
@@ -186,6 +215,9 @@ struct Conn {
     parser: StreamParser,
     /// Batches received on *this* connection (END validates against it).
     received_this_stream: u64,
+    /// Whether any byte has arrived; until then the connection counts
+    /// against its address's dial window.
+    answered: bool,
 }
 
 /// A churn command sent from a [`ReactorHandle`] to its running reactor.
@@ -236,7 +268,7 @@ impl std::fmt::Debug for ReactorHandle {
 
 struct Feed {
     device_id: u64,
-    addr: String,
+    addr: Arc<str>,
     sender: Option<TelemetrySender>,
     conn: Option<Conn>,
     state: FeedState,
@@ -274,24 +306,34 @@ impl std::fmt::Debug for Feed {
 ///
 /// One reactor thread comfortably sustains thousands of concurrent feeds:
 /// per feed it keeps one nonblocking socket, one incremental parser and a
-/// bounded overflow queue — no per-connection threads, no unbounded buffers.
+/// bounded overflow queue — no per-connection threads, no unbounded buffers —
+/// and it dials them in windows of at most 64 unanswered connections per
+/// address, so a thousand-feed fleet never overflows its server's accept
+/// backlog (see [Dialing](self#dialing)).
 #[derive(Debug)]
 pub struct IngestReactor {
+    /// Live feeds in subscription order; terminal feeds are compacted out
+    /// once per pass, after every feed has been serviced.
     feeds: Vec<Feed>,
     policy: ReconnectPolicy,
     capacity: usize,
     stats: ReactorStats,
     /// Command intake from live [`ReactorHandle`]s, created on first
-    /// [`handle`](Self::handle) call.
+    /// [`handle`](Self::handle) call and dropped once every handle is gone
+    /// during [`run`](Self::run): while present it keeps the reactor alive
+    /// and the poll timeout short.
     commands: Option<Receiver<Command>>,
     /// The reactor's own sender, kept only until [`run`](Self::run) starts so
     /// `handle` can clone it; dropped at run start so intake disconnection
     /// means "every user handle is gone".
     handle_tx: Option<Sender<Command>>,
-    /// Whether the intake was still connected at the last drain (run-loop
-    /// state: an open intake keeps the reactor alive and the poll timeout
-    /// short).
-    intake_open: bool,
+    /// Per-pass scratch: unanswered connections per feed address, recounted
+    /// from feed state at the start of every pass.
+    unanswered: HashMap<Arc<str>, usize>,
+    /// Per-pass scratch: the `poll(2)` set and the feed index owning each
+    /// slot.
+    poll_set: Vec<PollFd>,
+    poll_owners: Vec<usize>,
 }
 
 impl IngestReactor {
@@ -305,7 +347,9 @@ impl IngestReactor {
             stats: ReactorStats::default(),
             commands: None,
             handle_tx: None,
-            intake_open: false,
+            unanswered: HashMap::new(),
+            poll_set: Vec::new(),
+            poll_owners: Vec::new(),
         }
     }
 
@@ -344,20 +388,21 @@ impl IngestReactor {
     /// Registers one feed: device `device_id` served at `addr`
     /// (`host:port`, or `unix:<path>` for a Unix-domain socket), starting
     /// from batch `0`.  Returns the [`ChannelSource`] the device runtime
-    /// consumes.  The connection is dialed when [`run`](Self::run) starts;
+    /// consumes.  The connection is dialed once [`run`](Self::run) starts,
+    /// within its address's dial window (see [Dialing](self#dialing));
     /// to subscribe feeds *after* that, take a [`handle`](Self::handle)
     /// first.
     pub fn subscribe(&mut self, addr: &str, device_id: u64) -> ChannelSource {
         let (sender, source) = telemetry_channel(self.capacity);
-        self.admit(device_id, addr.to_string(), sender);
+        self.admit(device_id, addr, sender);
         source
     }
 
     /// Adds one feed in its initial dialing state.
-    fn admit(&mut self, device_id: u64, addr: String, sender: TelemetrySender) {
+    fn admit(&mut self, device_id: u64, addr: &str, sender: TelemetrySender) {
         self.feeds.push(Feed {
             device_id,
-            addr,
+            addr: addr.into(),
             sender: Some(sender),
             conn: None,
             state: FeedState::Dialing,
@@ -370,7 +415,7 @@ impl IngestReactor {
         });
     }
 
-    /// Number of subscribed feeds.
+    /// Number of subscribed feeds that are not yet terminal.
     pub fn feed_count(&self) -> usize {
         self.feeds.len()
     }
@@ -387,56 +432,82 @@ impl IngestReactor {
         // Drop the reactor's own sender: from here on, intake disconnection
         // means every user handle is gone and no further churn can arrive.
         drop(self.handle_tx.take());
-        let commands = self.commands.take();
-        self.intake_open = commands.is_some();
         self.stats.feeds = self.feeds.len() as u64;
-        loop {
-            if let Some(rx) = &commands {
-                self.intake_open = loop {
-                    match rx.try_recv() {
-                        Ok(command) => self.apply(command),
-                        Err(TryRecvError::Empty) => break true,
-                        Err(TryRecvError::Disconnected) => break false,
-                    }
-                };
-            }
-            let mut live = false;
-            for i in 0..self.feeds.len() {
-                self.service_feed(i);
-                match self.feeds[i].state {
-                    FeedState::Completed | FeedState::Departed | FeedState::Failed => {}
-                    _ => live = true,
-                }
-            }
-            if !live && !self.intake_open {
-                break;
-            }
-            self.poll_ready()?;
-        }
-        for feed in &self.feeds {
-            self.stats.reconnects += feed.reconnects;
-        }
+        while self.pass()? {}
         Ok(self.stats)
+    }
+
+    /// One event-loop pass: applies pending churn commands, services every
+    /// feed (dialing within each address's window), compacts terminal feeds
+    /// out, then polls the connected ones.  Returns `false`, without
+    /// polling, once no feed is live and every handle is gone.
+    fn pass(&mut self) -> Result<bool, AdaSenseError> {
+        self.apply_commands();
+        self.count_unanswered();
+        for i in 0..self.feeds.len() {
+            self.service_feed(i);
+        }
+        self.compact();
+        if self.feeds.is_empty() && self.commands.is_none() {
+            return Ok(false);
+        }
+        self.poll_ready()?;
+        Ok(true)
+    }
+
+    /// Applies every queued churn command; drops the intake once every
+    /// handle is gone.
+    fn apply_commands(&mut self) {
+        while let Some(rx) = &self.commands {
+            match rx.try_recv() {
+                Ok(command) => self.apply(command),
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => self.commands = None,
+            }
+        }
+    }
+
+    /// Recounts each address's unanswered connections from feed state, so a
+    /// departed or failed feed can never leak a window slot.
+    fn count_unanswered(&mut self) {
+        self.unanswered.clear();
+        for feed in &self.feeds {
+            if feed.conn.as_ref().is_some_and(|conn| !conn.answered) {
+                *self.unanswered.entry(Arc::clone(&feed.addr)).or_default() += 1;
+            }
+        }
+    }
+
+    /// Removes terminal feeds (order-preserving), first folding their
+    /// reconnects into the stats.
+    fn compact(&mut self) {
+        let stats = &mut self.stats;
+        self.feeds.retain(|feed| {
+            let terminal = feed.state.is_terminal();
+            if terminal {
+                stats.reconnects += feed.reconnects;
+            }
+            !terminal
+        });
     }
 
     /// Applies one churn command from a [`ReactorHandle`].
     fn apply(&mut self, command: Command) {
         match command {
             Command::Subscribe { device_id, addr, sender } => {
-                self.admit(device_id, addr, sender);
+                self.admit(device_id, &addr, sender);
                 self.stats.feeds += 1;
                 self.stats.joined += 1;
             }
             Command::Unsubscribe { device_id } => {
-                // Latest matching live feed wins; terminal feeds are left
-                // alone so a departure cannot retroactively fail a stream.
-                let Some(i) = self.feeds.iter().rposition(|f| {
-                    f.device_id == device_id
-                        && !matches!(
-                            f.state,
-                            FeedState::Completed | FeedState::Departed | FeedState::Failed
-                        )
-                }) else {
+                // Latest matching live feed wins; terminal (or already
+                // compacted) feeds are left alone so a departure cannot
+                // retroactively fail a stream.
+                let Some(i) = self
+                    .feeds
+                    .iter()
+                    .rposition(|f| f.device_id == device_id && !f.state.is_terminal())
+                else {
                     return;
                 };
                 let feed = &mut self.feeds[i];
@@ -454,10 +525,10 @@ impl IngestReactor {
 
     /// Polls every streaming, un-parked connection for readability, reading
     /// and decoding whatever arrived.  Uses a short timeout when any feed is
-    /// waiting on channel room or a redial, so those make progress too.
+    /// waiting on channel room or a (re)dial, so those make progress too.
     fn poll_ready(&mut self) -> Result<(), AdaSenseError> {
-        let mut fds = Vec::with_capacity(self.feeds.len());
-        let mut owners = Vec::with_capacity(self.feeds.len());
+        self.poll_set.clear();
+        self.poll_owners.clear();
         let mut impatient = false;
         let open = self.feeds.iter().filter(|f| f.conn.is_some()).count() as u64;
         self.stats.peak_open = self.stats.peak_open.max(open);
@@ -465,10 +536,10 @@ impl IngestReactor {
             match feed.state {
                 FeedState::Streaming if feed.overflow.len() < PARK_THRESHOLD => {
                     let conn = feed.conn.as_ref().expect("streaming feeds hold a connection");
-                    fds.push(PollFd::new(conn.stream.as_raw_fd(), POLLIN));
-                    owners.push(i);
+                    self.poll_set.push(PollFd::new(conn.stream.as_raw_fd(), POLLIN));
+                    self.poll_owners.push(i);
                 }
-                // Parked (ring full), draining, or waiting to redial: no fd
+                // Parked (ring full), draining, or waiting to (re)dial: no fd
                 // to poll, but check back soon.
                 FeedState::Streaming | FeedState::Draining | FeedState::Dialing => impatient = true,
                 FeedState::Completed | FeedState::Departed | FeedState::Failed => {}
@@ -478,24 +549,24 @@ impl IngestReactor {
         // admitted promptly even while every current feed is quiescent.
         let timeout_ms = if impatient {
             1
-        } else if self.intake_open {
+        } else if self.commands.is_some() {
             25
         } else {
             250
         };
-        if fds.is_empty() {
+        if self.poll_set.is_empty() {
             // Nothing pollable; pace the retry/drain loop without spinning.
             std::thread::sleep(std::time::Duration::from_millis(timeout_ms as u64));
             return Ok(());
         }
-        let ready = poll_fds(&mut fds, timeout_ms)
+        let ready = poll_fds(&mut self.poll_set, timeout_ms)
             .map_err(|e| AdaSenseError::ingest(format!("reactor poll failed: {e}")))?;
         if ready == 0 {
             return Ok(());
         }
-        for (slot, &owner) in fds.iter().zip(&owners) {
-            if slot.readable() {
-                self.read_feed(owner);
+        for slot in 0..self.poll_set.len() {
+            if self.poll_set[slot].readable() {
+                self.read_feed(self.poll_owners[slot]);
             }
         }
         Ok(())
@@ -565,7 +636,7 @@ impl IngestReactor {
     }
 
     /// Attempts one (re)connect + handshake for a dialing feed, honoring the
-    /// policy's pacing and attempt budget.
+    /// policy's pacing and attempt budget and the address's dial window.
     fn dial(&mut self, i: usize) {
         let feed = &mut self.feeds[i];
         if let Some(last) = feed.last_dial {
@@ -573,9 +644,14 @@ impl IngestReactor {
                 return; // not due yet; poll_ready's short timeout re-checks
             }
         }
+        if self.unanswered.get(&*feed.addr).is_some_and(|&n| n >= MAX_UNANSWERED) {
+            // Window full: wait for a later pass without spending budget.
+            return;
+        }
         feed.last_dial = Some(Instant::now());
         match Self::connect(&feed.addr, feed.device_id, feed.received_total) {
             Ok(stream) => {
+                *self.unanswered.entry(Arc::clone(&feed.addr)).or_default() += 1;
                 if feed.ever_connected {
                     feed.reconnects += 1;
                 }
@@ -584,6 +660,7 @@ impl IngestReactor {
                     stream,
                     parser: StreamParser::telemetry(),
                     received_this_stream: 0,
+                    answered: false,
                 });
                 feed.redials_left = self.policy.attempts;
                 feed.state = FeedState::Streaming;
@@ -629,7 +706,10 @@ impl IngestReactor {
                         torn = true;
                         break;
                     }
-                    Ok(n) => conn.parser.feed(&block[..n]),
+                    Ok(n) => {
+                        conn.answered = true;
+                        conn.parser.feed(&block[..n]);
+                    }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                     Err(_) => {
                         torn = true;
@@ -1021,5 +1101,134 @@ mod tests {
         assert_eq!((stats.completed, stats.failed), (0, 1), "{stats:?}");
         assert_eq!(stats.errors[0].0, 4);
         drop(source);
+    }
+
+    #[test]
+    fn the_dial_window_holds_per_address() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        // A silent peer: accepts every connection and holds it open, but
+        // never writes a byte, so none of its connections is ever answered.
+        let silent = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let silent_addr = silent.local_addr().unwrap().to_string();
+        silent.set_nonblocking(true).unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let acceptor = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut held = Vec::new();
+                loop {
+                    match silent.accept() {
+                        Ok((conn, _)) => held.push(conn),
+                        // Once stopped, exit only with the backlog empty, so
+                        // every connection the reactor made is counted.
+                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                            if stop.load(Ordering::SeqCst) {
+                                return held.len();
+                            }
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                        Err(e) => panic!("accept failed: {e}"),
+                    }
+                }
+            })
+        };
+        let trace = sample_trace(4);
+        let good_ids = 1000..1004u64;
+        let mut serve = TelemetryServe::bind(
+            "127.0.0.1:0",
+            good_ids.clone().map(|id| (id, trace.clone())).collect(),
+        )
+        .unwrap();
+        let good_addr = serve.local_addr().to_string();
+        let server = std::thread::spawn(move || serve.serve_streams(4, 50).unwrap());
+
+        // The silent feeds subscribe first, so without a per-address window
+        // they would all be dialed before the good ones.
+        let mut reactor = IngestReactor::new().with_policy(fast_policy());
+        let handle = reactor.handle();
+        let silent_ids = 0..200u64;
+        let silent_sources: Vec<_> =
+            silent_ids.clone().map(|id| reactor.subscribe(&silent_addr, id)).collect();
+        let good_sources: Vec<_> = good_ids.map(|id| reactor.subscribe(&good_addr, id)).collect();
+        let runner = std::thread::spawn(move || reactor.run().unwrap());
+
+        // Every pass considers the silent feeds before the good ones, so by
+        // the time the good feeds finish, any over-dialing has happened.
+        for source in good_sources {
+            assert_eq!(drain(source, 4).batches, trace.batches, "good feeds are byte-exact");
+        }
+        for id in silent_ids {
+            handle.unsubscribe(id);
+        }
+        drop(handle);
+        let stats = runner.join().unwrap();
+        stop.store(true, Ordering::SeqCst);
+        assert_eq!(acceptor.join().unwrap(), MAX_UNANSWERED, "the silent peer's window");
+        assert_eq!((stats.completed, stats.departed, stats.failed), (4, 200, 0), "{stats:?}");
+        server.join().unwrap();
+        drop(silent_sources);
+    }
+
+    #[test]
+    fn deferred_dials_keep_their_budget() {
+        // More feeds than a TCP listen backlog holds, one connect attempt
+        // each: a feed waiting for window room must not spend that attempt.
+        const FEEDS: u64 = 300;
+        let trace = sample_trace(3);
+        let mut serve =
+            TelemetryServe::bind("127.0.0.1:0", (0..FEEDS).map(|id| (id, trace.clone())).collect())
+                .unwrap();
+        let addr = serve.local_addr().to_string();
+        let server = std::thread::spawn(move || serve.serve_streams(FEEDS, 50).unwrap());
+
+        let mut reactor = IngestReactor::new()
+            .with_policy(ReconnectPolicy { attempts: 1, delay: Duration::from_millis(1) });
+        // Three batches fit the channel ring, so the sources drain after run.
+        let sources: Vec<_> = (0..FEEDS).map(|id| reactor.subscribe(&addr, id)).collect();
+        let stats = reactor.run().unwrap();
+
+        assert_eq!((stats.completed, stats.failed), (FEEDS, 0), "{stats:?}");
+        for source in sources {
+            assert_eq!(drain(source, 3).batches, trace.batches);
+        }
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn terminal_feeds_are_compacted_out() {
+        const CYCLES: u64 = 20;
+        let trace = sample_trace(2);
+        let mut serve = TelemetryServe::bind(
+            "127.0.0.1:0",
+            (0..CYCLES).map(|id| (id, trace.clone())).collect(),
+        )
+        .unwrap()
+        .with_kill_at(100)
+        .with_kill_below(CYCLES / 2);
+        let addr = serve.local_addr().to_string();
+        let server = std::thread::spawn(move || serve.serve_streams(CYCLES, 50).unwrap());
+
+        let mut reactor = IngestReactor::new().with_policy(fast_policy());
+        let handle = reactor.handle();
+        for id in 0..CYCLES {
+            let source = handle.subscribe(&addr, id);
+            let deadline = Instant::now() + Duration::from_secs(20);
+            while reactor.stats.completed <= id {
+                assert!(Instant::now() < deadline, "feed {id} never completed");
+                assert!(reactor.pass().unwrap(), "an open handle keeps the reactor running");
+            }
+            assert_eq!(reactor.feed_count(), 0, "completed feed {id} was compacted out");
+            assert_eq!(drain(source, 2).batches, trace.batches);
+        }
+        // The torn first streams' reconnects were folded in at compaction.
+        assert_eq!(reactor.stats.reconnects, CYCLES / 2, "{:?}", reactor.stats);
+        assert_eq!((reactor.stats.joined, reactor.stats.failed), (CYCLES, 0));
+        // Unsubscribing a compacted feed stays a no-op.
+        handle.unsubscribe(0);
+        drop(handle);
+        drop(reactor.handle_tx.take());
+        assert!(!reactor.pass().unwrap(), "no live feed and no handle: the loop ends");
+        assert_eq!(reactor.stats.departed, 0);
+        server.join().unwrap();
     }
 }
