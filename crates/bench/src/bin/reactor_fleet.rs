@@ -92,7 +92,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .iter()
             .zip(&plan)
             .map(|((_, trace), entry)| {
-                let source = SocketSource::from_reader(std::io::Cursor::new(trace.encode()))?;
+                // The whole trace prefilled into a ring whose sender is
+                // dropped: an in-memory replay with no socket.
+                let (mut sender, source) = telemetry_channel(trace.len() + 1);
+                sender.send_trace(trace)?;
                 let device = fleet.device_plan(entry.device_id);
                 Ok(ExternalDevice::new(device.device_id, source)
                     .with_metadata(device.seed, device.routine.clone())

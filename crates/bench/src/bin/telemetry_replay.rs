@@ -6,8 +6,9 @@
 //! 1. Run a scenario-driven fleet through the scheduler (the reference).
 //! 2. Re-run every device standalone under a `TraceRecorder` and write its
 //!    stream as a wire-format `.trace` file.
-//! 3. Serve each trace file over its own loopback TCP listener and replay the
-//!    whole cohort through `SocketSource`s as the run's feeds.
+//! 3. Decode every trace file, serve them all from one loopback
+//!    `TelemetryServe`, and replay the whole cohort through one
+//!    `IngestReactor` whose channels are the run's feeds.
 //! 4. Fail unless every replayed `DeviceSummary` row is bit-identical to the
 //!    reference row.
 //! 5. Additionally run a *mixed* fleet — the scenario cohort plus a
@@ -17,17 +18,24 @@
 //! Run with `cargo run --release -p adasense-bench --bin telemetry_replay`
 //! (add `--quick` for the reduced training set; `--devices N`, `--duration S`,
 //! `--routine <preset>`, `--fault <none|light|heavy>` and `--trace-dir PATH`
-//! to change the workload).  Exits non-zero on any mismatch.
+//! to change the workload).  Exits non-zero on any mismatch or failed feed.
+//! The reactor needs `poll(2)`, so the binary is built for Unix only.
 
-use std::io::Write;
-use std::net::TcpListener;
+#[cfg(unix)]
 use std::path::{Path, PathBuf};
 
-use adasense::ingest::{telemetry_channel, ReconnectPolicy, SocketSource, TraceRecorder};
+#[cfg(unix)]
 use adasense::prelude::*;
-use adasense::TelemetryTrace;
+#[cfg(unix)]
 use adasense_bench::{int_arg, string_arg, train_system, RunScale};
 
+#[cfg(not(unix))]
+fn main() {
+    eprintln!("telemetry_replay needs poll(2) and is only built on Unix platforms");
+    std::process::exit(2);
+}
+
+#[cfg(unix)]
 fn trace_path(dir: &Path, device_id: u64) -> PathBuf {
     dir.join(format!("device_{device_id:04}.trace"))
 }
@@ -35,6 +43,7 @@ fn trace_path(dir: &Path, device_id: u64) -> PathBuf {
 /// Compares two summary rows field by field, returning the names of the
 /// fields that differ.  `ignore_faults` masks `faulted_epochs`: fault
 /// exposure is a capture-side property a replayed feed cannot observe.
+#[cfg(unix)]
 fn row_mismatches(a: &DeviceSummary, b: &DeviceSummary, ignore_faults: bool) -> Vec<&'static str> {
     let mut bad = Vec::new();
     let mut check = |name, equal: bool| {
@@ -61,6 +70,7 @@ fn row_mismatches(a: &DeviceSummary, b: &DeviceSummary, ignore_faults: bool) -> 
     bad
 }
 
+#[cfg(unix)]
 fn compare_cohorts(
     what: &str,
     reference: &[DeviceSummary],
@@ -88,6 +98,7 @@ fn compare_cohorts(
     Ok(())
 }
 
+#[cfg(unix)]
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scale = RunScale::from_args();
     let devices = int_arg("--devices")?.unwrap_or(6);
@@ -150,39 +161,44 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trace_dir.display()
     );
 
-    // 3) Serve every trace file over its own loopback listener and replay the
-    //    cohort through SocketSources (file → socket → runtime).
-    let mut feeds = Vec::with_capacity(plans.len());
-    let mut servers = Vec::with_capacity(plans.len());
+    // 3) Decode every trace file, serve them all from one loopback server and
+    //    replay the cohort through one ingestion reactor
+    //    (file → server → reactor → runtime).
+    let mut traces = Vec::with_capacity(plans.len());
     for plan in &plans {
         let bytes = std::fs::read(trace_path(&trace_dir, plan.device_id))?;
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?.to_string();
-        servers.push(std::thread::spawn(move || -> Result<(), String> {
-            let (mut conn, _) = listener.accept().map_err(|e| e.to_string())?;
-            conn.write_all(&bytes).map_err(|e| e.to_string())
-        }));
-        let source = SocketSource::tcp(&addr, ReconnectPolicy::default())?;
-        feeds.push(
-            ExternalDevice::new(plan.device_id, source)
-                .with_metadata(plan.seed, plan.routine.clone())
-                .with_backend(plan.backend),
-        );
+        traces.push((plan.device_id, TelemetryTrace::decode(&bytes)?));
     }
+    let mut serve = TelemetryServe::bind("127.0.0.1:0", traces.clone())?;
+    let addr = serve.local_addr().to_string();
+    let server = std::thread::spawn(move || serve.serve_streams(devices, 50));
+    let mut reactor = IngestReactor::new();
+    let feeds = plans
+        .iter()
+        .map(|plan| {
+            ExternalDevice::new(plan.device_id, reactor.subscribe(&addr, plan.device_id))
+                .with_metadata(plan.seed, plan.routine.clone())
+                .with_backend(plan.backend)
+        })
+        .collect();
+    let runner = std::thread::spawn(move || reactor.run());
     let feed_only = FleetSpec { devices: 0, ..fleet.clone() };
     let replayed = scheduler.builder().spec(&feed_only).feeds(feeds).collect().run()?;
-    for server in servers {
-        server.join().expect("replay server thread")?;
+    let stats = runner.join().expect("reactor thread")?;
+    server.join().expect("replay server thread")?;
+    for (device_id, error) in &stats.errors {
+        eprintln!("[telemetry_replay] device {device_id} failed: {error}");
     }
-    compare_cohorts("socket replay", &reference.summaries, &replayed.summaries, ignore_faults)?;
+    if stats.failed > 0 {
+        return Err(format!("{} reactor feeds failed", stats.failed).into());
+    }
+    compare_cohorts("reactor replay", &reference.summaries, &replayed.summaries, ignore_faults)?;
 
     // 4) Mixed fleet: the scenario cohort and a channel-fed replay cohort in
     //    one scheduler run.
     let mut channel_feeds = Vec::with_capacity(plans.len());
     let mut feeders = Vec::with_capacity(plans.len());
-    for plan in &plans {
-        let bytes = std::fs::read(trace_path(&trace_dir, plan.device_id))?;
-        let trace = TelemetryTrace::decode(&bytes)?;
+    for (plan, (_, trace)) in plans.iter().zip(traces) {
         let (mut tx, source) = telemetry_channel(8);
         feeders.push(std::thread::spawn(move || tx.send_trace(&trace)));
         channel_feeds.push(
@@ -207,7 +223,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     compare_cohorts("mixed fleet, channel half", &expected_feed_half, feed_half, ignore_faults)?;
 
     println!(
-        "determinism: socket and channel replays reproduce the scenario run bit for bit \
+        "determinism: reactor and channel replays reproduce the scenario run bit for bit \
          ({} devices, {:.0} s, {}, fault {})",
         devices,
         duration_s,

@@ -47,6 +47,7 @@ use adasense_ml::{BackendKind, CascadeStage, Prediction};
 use adasense_sensor::{SensorConfig, TxPolicy};
 use serde::{Deserialize, Serialize};
 
+use crate::codec::{decode_str, encode_str};
 use crate::controller::ControllerKind;
 use crate::error::AdaSenseError;
 use crate::runtime::{
@@ -54,8 +55,8 @@ use crate::runtime::{
 };
 use crate::scenario::{FaultInjector, PopulationSpec};
 use crate::shard::{
-    decode_str, encode_str, shard_ranges, ByteCursor, DiscardSink, FleetStats, ShardRange,
-    SummarySink, REPORT_MAGIC, REPORT_VERSION,
+    shard_ranges, DiscardSink, FleetStats, ShardRange, SummarySink, ADSR, REPORT_MAGIC,
+    REPORT_VERSION,
 };
 use crate::simulation::{ScenarioSpec, SimulationReport, Simulator};
 use crate::training::{ExperimentSpec, TrainedSystem};
@@ -222,8 +223,8 @@ pub struct DevicePlan {
 }
 
 /// An externally fed device joining a fleet run: a live [`SampleSource`]
-/// (typically a [`ChannelSource`](crate::ingest::ChannelSource) or
-/// [`SocketSource`](crate::ingest::SocketSource)) plus the metadata its
+/// (typically a [`ChannelSource`](crate::ingest::ChannelSource), filled in
+/// process or by the ingestion reactor) plus the metadata its
 /// [`DeviceSummary`] row should carry.
 ///
 /// The source is driven until it reports end-of-stream (or until
@@ -525,26 +526,8 @@ impl FleetReport {
     /// Returns [`AdaSenseError::Shard`] on bad magic, an unsupported version,
     /// non-zero flags, or a truncated/corrupt body.
     pub fn decode(bytes: &[u8]) -> Result<Self, AdaSenseError> {
-        if bytes.len() < 8 {
-            return Err(AdaSenseError::shard("encoded report is shorter than its header"));
-        }
-        if bytes[0..4] != REPORT_MAGIC {
-            return Err(AdaSenseError::shard(format!(
-                "bad report magic {:02x?} (expected `ADSR`)",
-                &bytes[0..4]
-            )));
-        }
-        let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-        if version != REPORT_VERSION {
-            return Err(AdaSenseError::shard(format!(
-                "unsupported report version {version} (this build speaks {REPORT_VERSION})"
-            )));
-        }
-        let flags = u16::from_le_bytes([bytes[6], bytes[7]]);
-        if flags != 0 {
-            return Err(AdaSenseError::shard(format!("unsupported report flags {flags:#06x}")));
-        }
-        let mut cursor = ByteCursor::new(&bytes[8..]);
+        let mut cursor = ADSR.cursor(bytes);
+        cursor.header()?;
         let controller = decode_str(&mut cursor)?;
         let stats = FleetStats::decode_from(&mut cursor)?;
         cursor.finish()?;

@@ -11,37 +11,38 @@
 //! * **Wire format** — a compact, versioned, little-endian binary framing of
 //!   [`TelemetryBatch`]es (spec in `docs/WIRE_FORMAT.md`): [`FrameEncoder`]
 //!   writes header / batch / end-of-stream frames into a reused buffer,
-//!   [`FrameDecoder`] reads them back with full validation, and
-//!   [`TelemetryTrace`] bundles a whole recorded session.
+//!   [`FrameDecoder`] reads them back from a blocking reader with full
+//!   validation, [`StreamParser`] does the same for bytes pushed in
+//!   fragments, and [`TelemetryTrace`] bundles a whole recorded session.
+//!   Both decode frames through one function that reads every field with the
+//!   crate's bounds-checked byte cursor (the same cursor reads ADSR reports
+//!   and ADSP spools).
 //! * **[`ChannelSource`]** — a bounded in-process ring buffer
 //!   ([`telemetry_channel`]): the producer half ([`TelemetrySender`]) blocks
 //!   when the ring is full, giving natural backpressure; dropping it signals
-//!   end-of-stream.  This is the test / fleet-cohort transport.
-//! * **[`SocketSource`]** — length-prefixed frames over TCP or Unix-domain
-//!   sockets with a connect-time [`ReconnectPolicy`]; backpressure is the
-//!   transport's own flow control (the reader decodes one frame per tick and
-//!   buffers at most one small fixed read block ahead).
+//!   end-of-stream.  Every live device runtime reads one of these, whether
+//!   an in-process producer or the reactor fills it.
 //! * **[`TraceRecorder`]** — a decorator that records everything a wrapped
 //!   source delivers (windows *and* the ground-truth labels the runtime will
 //!   score against) so any simulated run — including fault-injected ones —
 //!   can be exported and replayed bit-identically.
-//! * **[`reactor`]** *(Unix)* — the event-driven ingestion reactor: one
-//!   thread readiness-polls thousands of nonblocking sockets, decodes frames
-//!   incrementally with [`StreamParser`], hands complete batches to
-//!   channel-fed fleet devices, and rides out torn connections with the
-//!   RESUME handshake.
+//! * **[`reactor`]** *(Unix)* — the socket ingestion path: one thread
+//!   readiness-polls thousands of nonblocking TCP or Unix-domain sockets,
+//!   decodes frames incrementally with [`StreamParser`], hands complete
+//!   batches to channel-fed fleet devices, and rides out torn connections
+//!   with the RESUME handshake under a [`ReconnectPolicy`].
 //! * **[`serve`]** *(Unix)* — the matching server: one thread serves a whole
 //!   simulated fleet's recorded traces as live per-device socket streams
 //!   (the `telemetry_serve` binary), with server-side frame resume.
 //!
 //! The acceptance bar for this layer is **determinism**: replaying a recorded
-//! trace through a socket must reproduce the originating run's
+//! trace through the reactor must reproduce the originating run's
 //! [`DeviceSummary`](crate::fleet::DeviceSummary) rows bit for bit (gated in
 //! CI by the `telemetry_replay` binary).  That works because the runtime's
 //! control decisions are pure functions of the sample stream, and the wire
 //! format preserves every `f64` bit pattern exactly.
 
-use std::io::{BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::time::Duration;
 
@@ -49,6 +50,7 @@ use adasense_data::{Activity, EPOCH_LABEL_OFFSET_S};
 use adasense_dsp::{ProjectionScratch, SparseProjection, FEATURE_DIM};
 use adasense_sensor::{Sample3, SensorConfig, TelemetryBatch};
 
+use crate::codec::{ByteCursor, Format};
 use crate::error::AdaSenseError;
 use crate::runtime::{SampleSource, SourceStatus};
 
@@ -73,6 +75,13 @@ pub const WIRE_VERSION: u16 = 4;
 /// carry means the same thing in v4, so accepting all of them costs nothing;
 /// anything else is rejected (no minor-version negotiation).
 const ACCEPTED_VERSIONS: [u16; 4] = [1, 2, 3, WIRE_VERSION];
+
+/// The ADSN telemetry format, as its cursor and header check see it.
+static ADSN: Format = Format {
+    magic: WIRE_MAGIC,
+    versions: &ACCEPTED_VERSIONS,
+    error: |reason| AdaSenseError::Ingest { reason },
+};
 
 /// Frame-kind tag of a sample batch.
 const KIND_BATCH: u8 = 0x01;
@@ -456,7 +465,7 @@ impl FrameDecoder {
     pub fn read_header<R: Read + ?Sized>(&mut self, reader: &mut R) -> Result<(), AdaSenseError> {
         let mut head = [0u8; 8];
         read_exact(reader, &mut head, "stream header")?;
-        validate_stream_header(&head)
+        ADSN.cursor(&head).header()
     }
 
     /// Reads the next frame.  Batch frames are decoded into `batch` in place
@@ -506,28 +515,6 @@ impl FrameDecoder {
     }
 }
 
-/// Validates the 8-byte stream header (magic, version, flags) — the shared
-/// core of [`FrameDecoder::read_header`] and [`StreamParser`].
-fn validate_stream_header(head: &[u8; 8]) -> Result<(), AdaSenseError> {
-    if head[0..4] != WIRE_MAGIC {
-        return Err(AdaSenseError::ingest(format!(
-            "bad magic {:02x?} (expected `ADSN`)",
-            &head[0..4]
-        )));
-    }
-    let version = u16::from_le_bytes([head[4], head[5]]);
-    if !ACCEPTED_VERSIONS.contains(&version) {
-        return Err(AdaSenseError::ingest(format!(
-            "unsupported wire-format version {version} (this build speaks {ACCEPTED_VERSIONS:?})"
-        )));
-    }
-    let flags = u16::from_le_bytes([head[6], head[7]]);
-    if flags != 0 {
-        return Err(AdaSenseError::ingest(format!("unsupported header flags {flags:#06x}")));
-    }
-    Ok(())
-}
-
 /// Classifies and decodes one complete frame payload — the shared core of
 /// [`FrameDecoder::read_frame`] and [`StreamParser::next_frame`].  Batch
 /// frames are decoded into `batch`; report payload bytes stay with the
@@ -537,106 +524,116 @@ fn decode_frame_payload(
     batch: &mut TelemetryBatch,
 ) -> Result<FrameKind, AdaSenseError> {
     let len = payload.len();
-    match payload[0] {
-        KIND_BATCH => {
+    let exact = |expected: usize, what: &str| {
+        if len == expected {
+            Ok(())
+        } else {
+            Err(AdaSenseError::ingest(format!(
+                "{what} frame has length {len}, expected {expected}"
+            )))
+        }
+    };
+    let mut cursor = ADSN.cursor(payload);
+    match cursor.u8()? {
+        kind @ (KIND_BATCH | KIND_COMPRESSED) => {
             if len > MAX_FRAME_LEN {
                 return Err(AdaSenseError::ingest(format!(
                     "batch frame length {len} exceeds the {MAX_FRAME_LEN} B cap"
                 )));
             }
-            decode_batch_payload(payload, batch)?;
+            if kind == KIND_BATCH {
+                decode_batch_payload(&mut cursor, batch)?;
+            } else {
+                decode_compressed_payload(&mut cursor, batch)?;
+            }
             Ok(FrameKind::Batch)
         }
         KIND_END => {
-            if len != 9 {
-                return Err(AdaSenseError::ingest(format!(
-                    "end-of-stream frame has length {len}, expected 9"
-                )));
-            }
-            let mut count = [0u8; 8];
-            count.copy_from_slice(&payload[1..9]);
-            Ok(FrameKind::End { batches: u64::from_le_bytes(count) })
+            exact(9, "end-of-stream")?;
+            Ok(FrameKind::End { batches: cursor.u64()? })
         }
-        KIND_REPORT => {
-            if len < 5 {
-                return Err(AdaSenseError::ingest(format!(
-                    "report frame has length {len}, expected at least 5"
-                )));
-            }
-            let shard = u32::from_le_bytes(payload[1..5].try_into().expect("4-byte slice"));
-            Ok(FrameKind::Report { shard })
-        }
+        KIND_REPORT => Ok(FrameKind::Report { shard: cursor.u32()? }),
         KIND_RESUME => {
-            if len != RESUME_PAYLOAD_LEN {
-                return Err(AdaSenseError::ingest(format!(
-                    "resume frame has length {len}, expected {RESUME_PAYLOAD_LEN}"
-                )));
-            }
-            let device_id = u64::from_le_bytes(payload[1..9].try_into().expect("8-byte slice"));
-            let next_batch = u64::from_le_bytes(payload[9..17].try_into().expect("8-byte slice"));
+            exact(RESUME_PAYLOAD_LEN, "resume")?;
+            let device_id = cursor.u64()?;
+            let next_batch = cursor.u64()?;
             Ok(FrameKind::Resume { device_id, next_batch })
         }
-        KIND_COMPRESSED => {
-            if len > MAX_FRAME_LEN {
-                return Err(AdaSenseError::ingest(format!(
-                    "compressed frame length {len} exceeds the {MAX_FRAME_LEN} B cap"
-                )));
-            }
-            decode_compressed_payload(payload, batch)?;
-            Ok(FrameKind::Batch)
-        }
         KIND_JOIN => {
-            if len != JOIN_PAYLOAD_LEN {
-                return Err(AdaSenseError::ingest(format!(
-                    "join frame has length {len}, expected {JOIN_PAYLOAD_LEN}"
-                )));
-            }
-            let device_id = u64::from_le_bytes(payload[1..9].try_into().expect("8-byte slice"));
-            let config = SensorConfig::from_index(payload[9] as usize).ok_or_else(|| {
-                AdaSenseError::ingest(format!("invalid sensor-configuration tag {}", payload[9]))
-            })?;
-            let start_epoch = u64::from_le_bytes(payload[10..18].try_into().expect("8-byte slice"));
+            exact(JOIN_PAYLOAD_LEN, "join")?;
+            let device_id = cursor.u64()?;
+            let config = decode_config(&mut cursor)?;
+            let start_epoch = cursor.u64()?;
             Ok(FrameKind::Join { device_id, config, start_epoch })
         }
         kind => Err(AdaSenseError::ingest(format!("unknown frame kind {kind:#04x}"))),
     }
 }
 
-/// Decodes a complete compressed-batch payload (kind byte included) into
-/// `batch`, reconstructing the window from its sparse-projection measurements
-/// (see `docs/WIRE_FORMAT.md` § COMPRESSED).  Reconstruction is a pure
-/// function of the carried seed and measurements, so replaying a compressed
-/// stream is as deterministic as replaying a raw one.  Timestamps are
-/// regenerated on a uniform grid ending at `t_end`.
-fn decode_compressed_payload(
-    payload: &[u8],
+/// Reads and validates a sensor-configuration tag.
+fn decode_config(cursor: &mut ByteCursor<'_>) -> Result<SensorConfig, AdaSenseError> {
+    let tag = cursor.u8()?;
+    SensorConfig::from_index(tag as usize)
+        .ok_or_else(|| AdaSenseError::ingest(format!("invalid sensor-configuration tag {tag}")))
+}
+
+/// Reads the head a raw and a compressed batch share — configuration,
+/// label, reserved byte, the window's end and length, the sample count —
+/// validates it and resets `batch` to it.  Returns the sample count.
+fn decode_batch_head(
+    cursor: &mut ByteCursor<'_>,
     batch: &mut TelemetryBatch,
-) -> Result<(), AdaSenseError> {
-    if payload.len() < COMPRESSED_HEAD_LEN {
-        return Err(AdaSenseError::ingest(format!(
-            "compressed frame has length {}, expected at least {COMPRESSED_HEAD_LEN}",
-            payload.len()
-        )));
-    }
-    let config = SensorConfig::from_index(payload[1] as usize).ok_or_else(|| {
-        AdaSenseError::ingest(format!("invalid sensor-configuration tag {}", payload[1]))
-    })?;
-    let label = payload[2];
+) -> Result<usize, AdaSenseError> {
+    let config = decode_config(cursor)?;
+    let label = cursor.u8()?;
     if label as usize >= Activity::COUNT {
         return Err(AdaSenseError::ingest(format!(
             "invalid class label {label} (must be < {})",
             Activity::COUNT
         )));
     }
-    let t_end = f64::from_le_bytes(payload[4..12].try_into().expect("8-byte slice"));
-    let window_s = f64::from_le_bytes(payload[12..20].try_into().expect("8-byte slice"));
+    cursor.u8()?; // reserved
+    let t_end = cursor.f64()?;
+    let window_s = cursor.f64()?;
     if !t_end.is_finite() || !window_s.is_finite() || window_s <= 0.0 {
         return Err(AdaSenseError::ingest(format!(
             "batch times are not sane (t_end {t_end}, window {window_s})"
         )));
     }
-    let samples = u32::from_le_bytes(payload[20..24].try_into().expect("4-byte slice")) as usize;
-    let coeffs = u32::from_le_bytes(payload[24..28].try_into().expect("4-byte slice")) as usize;
+    let samples = cursor.u32()? as usize;
+    batch.reset(config, t_end, window_s, label);
+    Ok(samples)
+}
+
+/// Decodes a batch payload (after its kind byte) into `batch`.
+fn decode_batch_payload(
+    cursor: &mut ByteCursor<'_>,
+    batch: &mut TelemetryBatch,
+) -> Result<(), AdaSenseError> {
+    let count = decode_batch_head(cursor, batch)?;
+    if count.checked_mul(SAMPLE_LEN) != Some(cursor.remaining()) {
+        return Err(AdaSenseError::ingest(format!(
+            "batch frame length {} does not match its sample count {count}",
+            BATCH_HEAD_LEN + cursor.remaining()
+        )));
+    }
+    let rows = cursor.f64_rows(count)?;
+    batch.samples.extend(rows.map(|[t, x, y, z]| Sample3::new(t, x, y, z)));
+    Ok(())
+}
+
+/// Decodes a compressed-batch payload (after its kind byte) into `batch`,
+/// reconstructing the window from its sparse-projection measurements (see
+/// `docs/WIRE_FORMAT.md` § COMPRESSED).  Reconstruction is a pure function
+/// of the carried seed and measurements, so replaying a compressed stream is
+/// as deterministic as replaying a raw one.  Timestamps are regenerated on a
+/// uniform grid ending at `t_end`.
+fn decode_compressed_payload(
+    cursor: &mut ByteCursor<'_>,
+    batch: &mut TelemetryBatch,
+) -> Result<(), AdaSenseError> {
+    let samples = decode_batch_head(cursor, batch)?;
+    let coeffs = cursor.u32()? as usize;
     if samples == 0 || coeffs == 0 || coeffs > samples {
         return Err(AdaSenseError::ingest(format!(
             "compressed frame carries {coeffs} measurements for {samples} samples"
@@ -647,11 +644,11 @@ fn decode_compressed_payload(
             "compressed frame claims {samples} samples, above the raw-frame bound"
         )));
     }
-    let seed = u64::from_le_bytes(payload[28..36].try_into().expect("8-byte slice"));
-    if payload.len() != COMPRESSED_HEAD_LEN + coeffs * MEASUREMENT_LEN {
+    let seed = cursor.u64()?;
+    if cursor.remaining() != coeffs * MEASUREMENT_LEN {
         return Err(AdaSenseError::ingest(format!(
             "compressed frame length {} does not match its measurement count {coeffs}",
-            payload.len()
+            COMPRESSED_HEAD_LEN + cursor.remaining()
         )));
     }
     let projection = SparseProjection::with_lengths(seed, samples, coeffs);
@@ -659,19 +656,16 @@ fn decode_compressed_payload(
     let mut axis = vec![0.0; samples];
     let mut scratch = ProjectionScratch::default();
 
-    batch.reset(config, t_end, window_s, label);
-    let step = window_s / samples as f64;
-    let t0 = t_end - window_s;
+    let step = batch.window_s / samples as f64;
+    let t0 = batch.t_end - batch.window_s;
     batch.samples.reserve(samples);
     for i in 0..samples {
         batch.samples.push(Sample3::new(t0 + (i + 1) as f64 * step, 0.0, 0.0, 0.0));
     }
+    // Measurements are axis-major: all x, then all y, then all z.
     for axis_index in 0..3 {
-        let base = COMPRESSED_HEAD_LEN + axis_index * coeffs * 8;
-        for (slot, chunk) in
-            measurements.iter_mut().zip(payload[base..base + coeffs * 8].chunks_exact(8))
-        {
-            *slot = f64::from_le_bytes(chunk.try_into().expect("8-byte slice"));
+        for (slot, [value]) in measurements.iter_mut().zip(cursor.f64_rows(coeffs)?) {
+            *slot = value;
         }
         projection.reconstruct_into(&measurements, &mut axis, &mut scratch);
         for (sample, &value) in batch.samples.iter_mut().zip(&axis) {
@@ -681,51 +675,6 @@ fn decode_compressed_payload(
                 _ => sample.z = value,
             }
         }
-    }
-    Ok(())
-}
-
-/// Decodes a complete batch payload (kind byte included) into `batch`.
-fn decode_batch_payload(payload: &[u8], batch: &mut TelemetryBatch) -> Result<(), AdaSenseError> {
-    if payload.len() < BATCH_HEAD_LEN {
-        return Err(AdaSenseError::ingest(format!(
-            "batch frame has length {}, expected at least {BATCH_HEAD_LEN}",
-            payload.len()
-        )));
-    }
-    let config = SensorConfig::from_index(payload[1] as usize).ok_or_else(|| {
-        AdaSenseError::ingest(format!("invalid sensor-configuration tag {}", payload[1]))
-    })?;
-    let label = payload[2];
-    if label as usize >= Activity::COUNT {
-        return Err(AdaSenseError::ingest(format!(
-            "invalid class label {label} (must be < {})",
-            Activity::COUNT
-        )));
-    }
-    let t_end = f64::from_le_bytes(payload[4..12].try_into().expect("8-byte slice"));
-    let window_s = f64::from_le_bytes(payload[12..20].try_into().expect("8-byte slice"));
-    if !t_end.is_finite() || !window_s.is_finite() || window_s <= 0.0 {
-        return Err(AdaSenseError::ingest(format!(
-            "batch times are not sane (t_end {t_end}, window {window_s})"
-        )));
-    }
-    let count = u32::from_le_bytes(payload[20..24].try_into().expect("4-byte slice")) as usize;
-    if payload.len() != BATCH_HEAD_LEN + count * SAMPLE_LEN {
-        return Err(AdaSenseError::ingest(format!(
-            "batch frame length {} does not match its sample count {count}",
-            payload.len()
-        )));
-    }
-    batch.reset(config, t_end, window_s, label);
-    batch.samples.reserve(count);
-    for chunk in payload[BATCH_HEAD_LEN..].chunks_exact(SAMPLE_LEN) {
-        batch.samples.push(Sample3::new(
-            f64::from_le_bytes(chunk[0..8].try_into().expect("8-byte slice")),
-            f64::from_le_bytes(chunk[8..16].try_into().expect("8-byte slice")),
-            f64::from_le_bytes(chunk[16..24].try_into().expect("8-byte slice")),
-            f64::from_le_bytes(chunk[24..32].try_into().expect("8-byte slice")),
-        ));
     }
     Ok(())
 }
@@ -846,33 +795,29 @@ impl StreamParser {
         &mut self,
         batch: &mut TelemetryBatch,
     ) -> Result<Option<FrameKind>, AdaSenseError> {
+        let mut cursor = ADSN.cursor(&self.buf[self.start..]);
         if !self.header_seen {
-            if self.buffered() < 8 {
+            if cursor.remaining() < 8 {
                 return Ok(None);
             }
-            let head: [u8; 8] =
-                self.buf[self.start..self.start + 8].try_into().expect("8-byte slice");
-            validate_stream_header(&head)?;
+            cursor.header()?;
             self.start += 8;
             self.header_seen = true;
         }
-        if self.buffered() < 4 {
+        if cursor.remaining() < 4 {
             return Ok(None);
         }
-        let len_bytes: [u8; 4] =
-            self.buf[self.start..self.start + 4].try_into().expect("4-byte slice");
-        let len = u32::from_le_bytes(len_bytes) as usize;
+        let len = cursor.u32()? as usize;
         if len == 0 || len > self.cap {
             return Err(AdaSenseError::ingest(format!(
                 "frame length {len} is outside 1..={}",
                 self.cap
             )));
         }
-        if self.buffered() < 4 + len {
+        if cursor.remaining() < len {
             return Ok(None);
         }
-        let payload = &self.buf[self.start + 4..self.start + 4 + len];
-        let kind = decode_frame_payload(payload, batch)?;
+        let kind = decode_frame_payload(cursor.take(len)?, batch)?;
         self.start += 4 + len;
         Ok(Some(kind))
     }
@@ -1075,10 +1020,10 @@ impl<S: SampleSource> SampleSource for TraceRecorder<S> {
 }
 
 // ---------------------------------------------------------------------------
-// Shared replay state
+// ChannelSource
 // ---------------------------------------------------------------------------
 
-/// The state both live sources share once a batch has been delivered: enough
+/// What a [`ChannelSource`] remembers of the batch it delivered last: enough
 /// to answer the runtime's ground-truth query for the epoch just captured.
 #[derive(Debug, Clone, Copy, Default)]
 struct LastEpoch {
@@ -1105,10 +1050,10 @@ impl LastEpoch {
 /// tick; any divergence means the trace belongs to a different run (or the
 /// producer reordered frames), and silently serving it would corrupt every
 /// later control decision.
-fn check_batch(who: &str, batch: &TelemetryBatch, config: SensorConfig, t_end: f64, window_s: f64) {
+fn check_batch(batch: &TelemetryBatch, config: SensorConfig, t_end: f64, window_s: f64) {
     assert!(
         batch.config == config && batch.t_end == t_end && batch.window_s == window_s,
-        "{who}: stream is out of step with the runtime — delivered \
+        "ChannelSource: stream is out of step with the runtime — delivered \
          ({}, t_end {}, window {} s) but the runtime asked for ({}, t_end {}, window {} s)",
         batch.config,
         batch.t_end,
@@ -1119,14 +1064,10 @@ fn check_batch(who: &str, batch: &TelemetryBatch, config: SensorConfig, t_end: f
     );
     assert!(
         (batch.label as usize) < Activity::COUNT,
-        "{who}: batch carries invalid class label {}",
+        "ChannelSource: batch carries invalid class label {}",
         batch.label
     );
 }
-
-// ---------------------------------------------------------------------------
-// ChannelSource
-// ---------------------------------------------------------------------------
 
 /// Creates a bounded in-process telemetry ring: a [`TelemetrySender`] for the
 /// producer and a [`ChannelSource`] for the consuming device runtime.
@@ -1288,7 +1229,7 @@ impl SampleSource for ChannelSource {
             .pending
             .take()
             .expect("capture_window called past end-of-stream (check status first)");
-        check_batch("ChannelSource", &batch, config, t_end, window_s);
+        check_batch(&batch, config, t_end, window_s);
         self.last.remember(&batch);
         out.clear();
         std::mem::swap(out, &mut batch.samples);
@@ -1310,18 +1251,21 @@ impl SampleSource for ChannelSource {
 }
 
 // ---------------------------------------------------------------------------
-// SocketSource
+// Reconnect policy
 // ---------------------------------------------------------------------------
 
-/// How [`SocketSource`] retries *connection establishment* (a replay server
-/// that is still starting up, a device waking before its gateway).
+/// How the ingestion [`reactor`] (re)dials a feed: the first connect, and
+/// every redial after a connection is torn mid-stream.
 ///
-/// Reconnection does **not** apply mid-stream: a connection torn after the
-/// header would need server-side resume to stay deterministic, so a torn
-/// stream fails loudly instead (see `docs/WIRE_FORMAT.md`).
+/// Each disconnect gets a fresh budget of `attempts` dials, `delay` apart.
+/// A redial resumes the stream where it broke: the reactor sends a RESUME
+/// frame naming the next batch it has not yet received, so a torn stream is
+/// delivered without gaps or duplicates (see `docs/WIRE_FORMAT.md` §
+/// RESUME).  A feed whose budget runs out fails alone; every other feed
+/// keeps streaming.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReconnectPolicy {
-    /// Total connection attempts before giving up (at least 1).
+    /// Dial attempts per disconnect before the feed fails (at least 1).
     pub attempts: u32,
     /// Delay between consecutive attempts.
     pub delay: Duration,
@@ -1342,227 +1286,11 @@ impl Default for ReconnectPolicy {
     }
 }
 
-/// A [`SampleSource`] reading length-prefixed wire-format frames off a byte
-/// stream — TCP, Unix-domain sockets, or any other [`Read`].
-///
-/// The source decodes exactly one frame per runtime tick; its only
-/// read-ahead is one decoded frame (the exhaustion probe) plus a fixed-size
-/// [`BufReader`] block (8 KiB — roughly ten low-rate frames), so
-/// backpressure remains the transport's own flow control: a slow consumer
-/// leaves the producer blocked in `write` once that bounded buffer and the
-/// kernel socket buffers fill.  End-of-stream is the wire format's explicit
-/// marker frame; a connection that dies without it fails loudly (see
-/// [`ReconnectPolicy`]).
-pub struct SocketSource {
-    reader: BufReader<Box<dyn Read + Send>>,
-    decoder: FrameDecoder,
-    batch: TelemetryBatch,
-    pending: bool,
-    done: bool,
-    last: LastEpoch,
-    delivered: u64,
-    peer: String,
-}
-
-impl SocketSource {
-    /// Connects to a TCP replay endpoint (for example `127.0.0.1:9000`),
-    /// retrying per `policy`, and validates the stream header.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AdaSenseError::Ingest`] when every attempt fails or the
-    /// header is invalid.
-    pub fn tcp(addr: &str, policy: ReconnectPolicy) -> Result<Self, AdaSenseError> {
-        let stream = connect_with_retries(addr, policy, |a| {
-            std::net::TcpStream::connect(a).map(|s| Box::new(s) as Box<dyn Read + Send>)
-        })?;
-        Self::from_boxed(stream, format!("tcp://{addr}"))
-    }
-
-    /// Connects to a Unix-domain socket replay endpoint, retrying per
-    /// `policy`, and validates the stream header.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AdaSenseError::Ingest`] when every attempt fails or the
-    /// header is invalid.
-    #[cfg(unix)]
-    pub fn unix(path: &str, policy: ReconnectPolicy) -> Result<Self, AdaSenseError> {
-        let stream = connect_with_retries(path, policy, |p| {
-            std::os::unix::net::UnixStream::connect(p).map(|s| Box::new(s) as Box<dyn Read + Send>)
-        })?;
-        Self::from_boxed(stream, format!("unix://{path}"))
-    }
-
-    /// Wraps an already-open byte stream (a file, an in-memory trace, a
-    /// connected socket) and validates the stream header.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AdaSenseError::Ingest`] if the header is invalid.
-    pub fn from_reader(reader: impl Read + Send + 'static) -> Result<Self, AdaSenseError> {
-        Self::from_boxed(Box::new(reader), "reader".to_string())
-    }
-
-    fn from_boxed(stream: Box<dyn Read + Send>, peer: String) -> Result<Self, AdaSenseError> {
-        let mut source = Self {
-            reader: BufReader::new(stream),
-            decoder: FrameDecoder::new(),
-            batch: TelemetryBatch::placeholder(),
-            pending: false,
-            done: false,
-            last: LastEpoch::default(),
-            delivered: 0,
-            peer,
-        };
-        source.decoder.read_header(&mut source.reader)?;
-        Ok(source)
-    }
-
-    /// The endpoint this source reads from (for diagnostics).
-    pub fn peer(&self) -> &str {
-        &self.peer
-    }
-
-    /// Number of batches delivered to the runtime so far.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Blocks until a frame is buffered or the end-of-stream marker arrives.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed frame or a connection torn before the marker:
-    /// the runtime cannot surface errors mid-tick, and silently truncating a
-    /// trace would produce a plausible-looking but wrong run.
-    fn poll(&mut self) {
-        while !(self.pending || self.done) {
-            match self.decoder.read_frame(&mut self.reader, &mut self.batch) {
-                Ok(FrameKind::Batch) => self.pending = true,
-                Ok(FrameKind::Report { shard }) => {
-                    // Report frames belong on shard→coordinator links, not on a
-                    // device telemetry feed.
-                    panic!(
-                        "{}: unexpected fleet-report frame for shard {shard} on a telemetry feed",
-                        self.peer
-                    )
-                }
-                Ok(FrameKind::Resume { device_id, .. }) => {
-                    // Resume requests flow client→server; a server echoing one
-                    // back is speaking the wrong direction of the protocol.
-                    panic!(
-                        "{}: unexpected resume frame for device {device_id} on a telemetry feed",
-                        self.peer
-                    )
-                }
-                Ok(FrameKind::Join { .. }) => {
-                    // v4 servers open every stream with a join handshake; a
-                    // plain replay source has no cohort to register it with,
-                    // so the metadata is simply skipped.
-                    continue;
-                }
-                Ok(FrameKind::End { batches }) => {
-                    assert!(
-                        batches == self.delivered,
-                        "{}: end-of-stream marker claims {batches} batches, delivered {}",
-                        self.peer,
-                        self.delivered
-                    );
-                    self.done = true;
-                }
-                Err(error) => panic!("{}: {error}", self.peer),
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for SocketSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SocketSource")
-            .field("peer", &self.peer)
-            .field("delivered", &self.delivered)
-            .field("done", &self.done)
-            .finish_non_exhaustive()
-    }
-}
-
-impl SampleSource for SocketSource {
-    /// Delivers the next decoded frame as the sensed window.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as
-    /// [`ChannelSource::capture_window`](ChannelSource) and on any stream
-    /// error: a torn or malformed stream fails loudly, because silently
-    /// truncating a trace would produce a plausible-looking but wrong run.
-    fn capture_window(
-        &mut self,
-        config: SensorConfig,
-        t_end: f64,
-        window_s: f64,
-        out: &mut Vec<Sample3>,
-    ) {
-        self.poll();
-        assert!(
-            self.pending,
-            "{}: capture_window called past end-of-stream (check status first)",
-            self.peer
-        );
-        check_batch("SocketSource", &self.batch, config, t_end, window_s);
-        self.last.remember(&self.batch);
-        out.clear();
-        // Swap buffers instead of copying: the runtime gets the decoded
-        // samples, the decoder reuses the runtime's previous window allocation.
-        std::mem::swap(out, &mut self.batch.samples);
-        self.pending = false;
-        self.delivered += 1;
-    }
-
-    fn ground_truth(&self, t_s: f64) -> Option<Activity> {
-        self.last.label_at(t_s)
-    }
-
-    fn status(&mut self) -> SourceStatus {
-        self.poll();
-        if self.done {
-            SourceStatus::Exhausted
-        } else {
-            SourceStatus::Ready
-        }
-    }
-}
-
-/// Dials `target` up to `policy.attempts` times, sleeping `policy.delay`
-/// between attempts.
-fn connect_with_retries(
-    target: &str,
-    policy: ReconnectPolicy,
-    connect: impl Fn(&str) -> std::io::Result<Box<dyn Read + Send>>,
-) -> Result<Box<dyn Read + Send>, AdaSenseError> {
-    let attempts = policy.attempts.max(1);
-    let mut last_error = None;
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            std::thread::sleep(policy.delay);
-        }
-        match connect(target) {
-            Ok(stream) => return Ok(stream),
-            Err(error) => last_error = Some(error),
-        }
-    }
-    Err(AdaSenseError::ingest(format!(
-        "connecting to {target} failed after {attempts} attempts: {}",
-        last_error.expect("at least one attempt ran")
-    )))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::controller::ControllerKind;
     use crate::runtime::{DeviceRuntime, ScenarioSource};
-    use crate::scenario::{FaultInjector, FaultLevel};
     use crate::simulation::tests::shared_system;
     use crate::simulation::ScenarioSpec;
 
@@ -1802,28 +1530,12 @@ mod tests {
             FrameKind::Join { device_id: 42, config, start_epoch: 17 }
         );
 
-        // A join frame inside a recorded telemetry trace is corrupt …
+        // A join frame inside a recorded telemetry trace is corrupt.
         let mut trace_stream = Vec::new();
         trace_stream.extend_from_slice(encoder.header());
         trace_stream.extend_from_slice(encoder.join(42, config, 0));
         trace_stream.extend_from_slice(encoder.end(0));
         assert!(TelemetryTrace::decode(&trace_stream).is_err());
-
-        // … but a plain socket source skips it: the handshake only carries
-        // cohort metadata, and the batches behind it must replay untouched.
-        let trace = TelemetryTrace { batches: vec![sample_batch(2.0)] };
-        let mut served = Vec::new();
-        served.extend_from_slice(encoder.header());
-        served.extend_from_slice(encoder.join(42, config, 3));
-        served.extend_from_slice(encoder.batch(&trace.batches[0]));
-        served.extend_from_slice(encoder.end(1));
-        let mut source = SocketSource::from_reader(std::io::Cursor::new(served)).unwrap();
-        assert_eq!(source.status(), SourceStatus::Ready);
-        let mut out = Vec::new();
-        let batch = &trace.batches[0];
-        source.capture_window(batch.config, batch.t_end, batch.window_s, &mut out);
-        assert_eq!(out, batch.samples);
-        assert_eq!(source.status(), SourceStatus::Exhausted);
 
         // A join frame with the wrong payload length is corrupt.
         let mut short = Vec::new();
@@ -1952,118 +1664,6 @@ mod tests {
         replay.run_to_completion();
         feeder.join().expect("feeder thread").expect("all batches accepted");
         assert_eq!(replay.into_report(), original, "channel replay must be bit-identical");
-    }
-
-    #[test]
-    fn recorded_faulty_run_replays_bit_identically_over_a_socket() {
-        let (spec, system) = shared_system();
-        let scenario = ScenarioSpec::sit_then_walk(8.0, 8.0);
-        let controller = ControllerKind::SpotWithConfidence {
-            stability_threshold: 2,
-            confidence_threshold: 0.85,
-        };
-
-        // Fault-injected original: recording wraps the injector, so the
-        // corrupted stream is what gets replayed.
-        let faulty = FaultInjector::for_device(
-            ScenarioSource::new(spec, &scenario),
-            FaultLevel::Heavy,
-            scenario.duration_s(),
-            99,
-        );
-        let mut original = DeviceRuntime::for_source(
-            spec,
-            system,
-            controller,
-            TraceRecorder::new(faulty),
-            scenario.duration_s(),
-        )
-        .unwrap();
-        original.run_to_completion();
-        let trace = original.source().trace().clone();
-        let original = original.into_report();
-
-        // Serve the encoded trace over a loopback TCP connection.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().unwrap().to_string();
-        let encoded = trace.encode();
-        let server = std::thread::spawn(move || {
-            let (mut conn, _) = listener.accept().expect("accept replay client");
-            conn.write_all(&encoded).expect("serve trace");
-        });
-
-        let source = SocketSource::tcp(&addr, ReconnectPolicy::default()).expect("connect");
-        let mut replay = DeviceRuntime::new(spec, system, controller, source);
-        replay.run_to_completion();
-        server.join().expect("server thread");
-        assert_eq!(replay.into_report(), original, "socket replay must be bit-identical");
-    }
-
-    #[test]
-    fn socket_source_reconnects_to_a_late_server() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().unwrap().to_string();
-        drop(listener); // nobody is listening yet
-
-        let trace = TelemetryTrace { batches: vec![sample_batch(2.0)] };
-        let encoded = trace.encode();
-        let addr_for_server = addr.clone();
-        let server = std::thread::spawn(move || {
-            // Come up late: the client must retry until this bind succeeds.
-            std::thread::sleep(Duration::from_millis(300));
-            let listener = std::net::TcpListener::bind(&addr_for_server).expect("rebind");
-            let (mut conn, _) = listener.accept().expect("accept");
-            conn.write_all(&encoded).expect("serve");
-        });
-
-        let policy = ReconnectPolicy { attempts: 50, delay: Duration::from_millis(50) };
-        let mut source = SocketSource::tcp(&addr, policy).expect("retry until the server is up");
-        let mut out = Vec::new();
-        source.capture_window(trace.batches[0].config, 2.0, 2.0, &mut out);
-        assert_eq!(out, trace.batches[0].samples);
-        assert_eq!(source.status(), SourceStatus::Exhausted);
-        server.join().expect("server thread");
-    }
-
-    #[test]
-    fn connect_failures_surface_after_the_policy_is_spent() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().unwrap().to_string();
-        drop(listener);
-        let policy = ReconnectPolicy { attempts: 2, delay: Duration::from_millis(1) };
-        let error = SocketSource::tcp(&addr, policy).expect_err("nobody listens");
-        assert!(matches!(error, AdaSenseError::Ingest { .. }));
-    }
-
-    #[test]
-    #[cfg(unix)]
-    fn unix_socket_transport_delivers_frames() {
-        // Keep the socket file inside the workspace target directory.
-        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target");
-        let path = dir.join(format!("adasense-ingest-{}.sock", std::process::id()));
-        let path_str = path.to_str().expect("utf-8 target path").to_string();
-        let _ = std::fs::remove_file(&path);
-
-        let trace = TelemetryTrace { batches: vec![sample_batch(2.0), sample_batch(3.0)] };
-        let encoded = trace.encode();
-        let listener = std::os::unix::net::UnixListener::bind(&path).expect("bind unix socket");
-        let server = std::thread::spawn(move || {
-            let (mut conn, _) = listener.accept().expect("accept");
-            conn.write_all(&encoded).expect("serve");
-        });
-
-        let mut source =
-            SocketSource::unix(&path_str, ReconnectPolicy::once()).expect("connect unix");
-        let mut out = Vec::new();
-        for batch in &trace.batches {
-            assert_eq!(source.status(), SourceStatus::Ready);
-            source.capture_window(batch.config, batch.t_end, batch.window_s, &mut out);
-            assert_eq!(out, batch.samples);
-        }
-        assert_eq!(source.status(), SourceStatus::Exhausted);
-        assert_eq!(source.delivered(), 2);
-        server.join().expect("server thread");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

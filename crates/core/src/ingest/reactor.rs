@@ -1104,6 +1104,90 @@ mod tests {
     }
 
     #[test]
+    fn a_late_server_is_redialed_until_it_comes_up() {
+        // Claim a free port, then release it: nobody listens there yet.
+        let addr = {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            listener.local_addr().unwrap().to_string()
+        };
+        let trace = sample_trace(3);
+        let mut reactor = IngestReactor::new()
+            .with_policy(ReconnectPolicy { attempts: 50, delay: Duration::from_millis(50) });
+        let source = reactor.subscribe(&addr, 5);
+        let subscribed = Instant::now();
+        let server = {
+            let trace = trace.clone();
+            std::thread::spawn(move || {
+                // Come up late: the reactor must keep redialing until this
+                // bind succeeds.
+                std::thread::sleep(Duration::from_millis(300));
+                let mut serve = TelemetryServe::bind(&addr, vec![(5, trace)]).unwrap();
+                serve.serve_streams(1, 50).unwrap();
+                serve.stats()
+            })
+        };
+        let consumer = std::thread::spawn(move || drain(source, 3));
+        let stats = reactor.run().unwrap();
+
+        assert_eq!(consumer.join().unwrap().batches, trace.batches, "byte-exact after redials");
+        assert!(subscribed.elapsed() >= Duration::from_millis(300));
+        assert_eq!((stats.completed, stats.failed, stats.reconnects), (1, 0, 0), "{stats:?}");
+        assert_eq!(server.join().unwrap().streams_completed, 1);
+    }
+
+    #[test]
+    fn recorded_faulty_run_replays_bit_identically_through_the_reactor() {
+        use crate::controller::ControllerKind;
+        use crate::ingest::TraceRecorder;
+        use crate::runtime::{DeviceRuntime, ScenarioSource};
+        use crate::scenario::{FaultInjector, FaultLevel};
+        use crate::simulation::tests::shared_system;
+        use crate::simulation::ScenarioSpec;
+
+        let (spec, system) = shared_system();
+        let scenario = ScenarioSpec::sit_then_walk(8.0, 8.0);
+        let controller = ControllerKind::SpotWithConfidence {
+            stability_threshold: 2,
+            confidence_threshold: 0.85,
+        };
+
+        // Fault-injected original: recording wraps the injector, so the
+        // corrupted stream is what gets replayed.
+        let faulty = FaultInjector::for_device(
+            ScenarioSource::new(spec, &scenario),
+            FaultLevel::Heavy,
+            scenario.duration_s(),
+            99,
+        );
+        let mut original = DeviceRuntime::for_source(
+            spec,
+            system,
+            controller,
+            TraceRecorder::new(faulty),
+            scenario.duration_s(),
+        )
+        .unwrap();
+        original.run_to_completion();
+        let trace = original.source().trace().clone();
+        let original = original.into_report();
+
+        // Serve the recorded trace live and replay it through one reactor.
+        let mut serve = TelemetryServe::bind("127.0.0.1:0", vec![(7, trace)]).unwrap();
+        let addr = serve.local_addr().to_string();
+        let server = std::thread::spawn(move || serve.serve_streams(1, 50).unwrap());
+        let mut reactor = IngestReactor::new().with_policy(fast_policy());
+        let source = reactor.subscribe(&addr, 7);
+        let runner = std::thread::spawn(move || reactor.run().unwrap());
+
+        let mut replay = DeviceRuntime::new(spec, system, controller, source);
+        replay.run_to_completion();
+        let stats = runner.join().unwrap();
+        server.join().unwrap();
+        assert_eq!((stats.completed, stats.failed), (1, 0), "{stats:?}");
+        assert_eq!(replay.into_report(), original, "reactor replay must be bit-identical");
+    }
+
+    #[test]
     fn the_dial_window_holds_per_address() {
         use std::sync::atomic::{AtomicBool, Ordering};
         // A silent peer: accepts every connection and holds it open, but

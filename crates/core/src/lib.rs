@@ -28,8 +28,9 @@
 //!   activity priors and sensor-fault injection, wired through the fleet scheduler
 //!   via [`FleetSpec::population`](fleet::FleetSpec::population).
 //! * [`ingest`] — live telemetry ingestion: the versioned binary wire format
-//!   (`docs/WIRE_FORMAT.md`), channel- and socket-backed [`SampleSource`]s, and
-//!   trace recording/replay, so the same closed loop runs over real device feeds.
+//!   (`docs/WIRE_FORMAT.md`), the channel-backed [`SampleSource`] that both
+//!   in-process producers and the socket reactor feed, and trace
+//!   recording/replay, so the same closed loop runs over real device feeds.
 //! * [`shard`] — sharded million-device fleets: order-independent exact sums and
 //!   mergeable quantile sketches behind [`FleetReport`],
 //!   chunk-aligned device-range shard plans, and the on-disk device-summary
@@ -66,6 +67,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod codec;
 pub mod controller;
 pub mod dse;
 pub mod error;
@@ -97,7 +99,7 @@ pub use ingest::{
 };
 pub use ingest::{
     telemetry_channel, ChannelSource, FrameDecoder, FrameEncoder, FrameKind, ReconnectPolicy,
-    SocketSource, StreamParser, TelemetrySender, TelemetryTrace, TraceRecorder,
+    StreamParser, TelemetrySender, TelemetryTrace, TraceRecorder,
 };
 pub use pareto::pareto_front;
 pub use pipeline::{ClassifiedBatch, HarPipeline};
@@ -140,7 +142,7 @@ pub mod prelude {
     };
     pub use crate::ingest::{
         telemetry_channel, ChannelSource, FrameDecoder, FrameEncoder, FrameKind, ReconnectPolicy,
-        SocketSource, StreamParser, TelemetrySender, TelemetryTrace, TraceRecorder,
+        StreamParser, TelemetrySender, TelemetryTrace, TraceRecorder,
     };
     pub use crate::pareto::pareto_front;
     pub use crate::pipeline::{ClassifiedBatch, HarPipeline};

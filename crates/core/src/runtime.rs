@@ -115,9 +115,9 @@ pub trait SampleSource {
     /// tick that never happened, and [`DeviceRuntime::is_complete`] turns
     /// `true` — instead of padding the remaining timeline with silence.
     ///
-    /// Live-feed sources ([`ChannelSource`](crate::ingest::ChannelSource),
-    /// [`SocketSource`](crate::ingest::SocketSource)) report
-    /// [`SourceStatus::Ready`] while the peer may still deliver and
+    /// Live-feed sources (a [`ChannelSource`](crate::ingest::ChannelSource),
+    /// whether an in-process producer or the ingestion reactor fills it)
+    /// report [`SourceStatus::Ready`] while the peer may still deliver and
     /// [`SourceStatus::Exhausted`] once end-of-stream has been signalled and
     /// every delivered window consumed; the method takes `&mut self` so they
     /// may block on — and stash — the next frame to learn whether one exists.

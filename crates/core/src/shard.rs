@@ -49,6 +49,8 @@ use std::io::{Read, Write};
 
 use adasense_sensor::{SensorConfig, TxPolicy};
 
+pub use crate::codec::ByteCursor;
+use crate::codec::{decode_str, encode_str, Format};
 use crate::error::AdaSenseError;
 use crate::fleet::DeviceSummary;
 
@@ -464,7 +466,9 @@ impl QuantileSketch {
             if n == 0 || sketch.buckets.insert(key, n).is_some() {
                 return Err(AdaSenseError::shard("sketch encoding is not canonical"));
             }
-            total += n;
+            total = total
+                .checked_add(n)
+                .ok_or_else(|| AdaSenseError::shard("sketch bucket counts overflow a u64"))?;
         }
         if total != count {
             return Err(AdaSenseError::shard(format!(
@@ -644,6 +648,13 @@ pub const REPORT_MAGIC: [u8; 4] = *b"ADSR";
 /// churn counters (joined/departed totals and the lifetime timeline behind
 /// [`FleetStats::active_peak`]).
 pub const REPORT_VERSION: u16 = 4;
+
+/// The ADSR report format, as its cursor and header check see it.
+pub(crate) static ADSR: Format = Format {
+    magic: REPORT_MAGIC,
+    versions: &[REPORT_VERSION],
+    error: |reason| AdaSenseError::Shard { reason },
+};
 
 /// The complete mergeable state of a fleet report: everything
 /// [`FleetReport`](crate::fleet::FleetReport) can answer, in memory bounded
@@ -1047,6 +1058,13 @@ pub const SPOOL_MAGIC: [u8; 4] = *b"ADSP";
 /// per-row churn lifetime (start epoch + departed flag).
 pub const SPOOL_VERSION: u16 = 4;
 
+/// The ADSP spool format, as its cursor and header check see it.
+static ADSP: Format = Format {
+    magic: SPOOL_MAGIC,
+    versions: &[SPOOL_VERSION],
+    error: |reason| AdaSenseError::Shard { reason },
+};
+
 /// Frame-kind tag of one spooled row.
 const SPOOL_KIND_ROW: u8 = 0x01;
 /// Frame-kind tag of the spool end marker.
@@ -1181,25 +1199,14 @@ impl<R: Read> SpoolReader<R> {
     ///
     /// # Errors
     ///
-    /// Returns [`AdaSenseError::Shard`] on bad magic, an unsupported version
-    /// or a truncated header.
+    /// Returns [`AdaSenseError::Shard`] on bad magic, an unsupported version,
+    /// non-zero flags or a truncated header.
     pub fn new(mut reader: R) -> Result<Self, AdaSenseError> {
         let mut head = [0u8; 8];
         reader
             .read_exact(&mut head)
             .map_err(|e| AdaSenseError::shard(format!("spool ended inside the header: {e}")))?;
-        if head[0..4] != SPOOL_MAGIC {
-            return Err(AdaSenseError::shard(format!(
-                "bad spool magic {:02x?} (expected `ADSP`)",
-                &head[0..4]
-            )));
-        }
-        let version = u16::from_le_bytes([head[4], head[5]]);
-        if version != SPOOL_VERSION {
-            return Err(AdaSenseError::shard(format!(
-                "unsupported spool version {version} (this build speaks {SPOOL_VERSION})"
-            )));
-        }
+        ADSP.cursor(&head).header()?;
         Ok(Self { reader, payload: Vec::new(), rows: 0, done: false })
     }
 
@@ -1219,20 +1226,17 @@ impl<R: Read> SpoolReader<R> {
         self.reader
             .read_exact(&mut self.payload)
             .map_err(|e| AdaSenseError::shard(format!("spool ended inside a frame: {e}")))?;
-        match self.payload[0] {
+        let mut cursor = ADSP.cursor(&self.payload);
+        match cursor.u8()? {
             SPOOL_KIND_ROW => {
-                let mut cursor = ByteCursor::new(&self.payload[1..]);
                 let row = decode_summary(&mut cursor)?;
                 cursor.finish()?;
                 self.rows += 1;
                 Ok(Some(row))
             }
             SPOOL_KIND_END => {
-                if len != 9 {
-                    return Err(AdaSenseError::shard("spool end marker has the wrong length"));
-                }
-                let claimed =
-                    u64::from_le_bytes(self.payload[1..9].try_into().expect("8-byte slice"));
+                let claimed = cursor.u64()?;
+                cursor.finish()?;
                 if claimed != self.rows {
                     return Err(AdaSenseError::shard(format!(
                         "spool end marker claims {claimed} rows, read {}",
@@ -1344,81 +1348,6 @@ fn decode_summary(cursor: &mut ByteCursor<'_>) -> Result<DeviceSummary, AdaSense
 
 fn spool_io(error: std::io::Error) -> AdaSenseError {
     AdaSenseError::shard(format!("writing the summary spool failed: {error}"))
-}
-
-// ---------------------------------------------------------------------------
-// Byte-level helpers
-// ---------------------------------------------------------------------------
-
-/// A bounds-checked little-endian reader over a byte slice.
-#[derive(Debug)]
-pub struct ByteCursor<'a> {
-    bytes: &'a [u8],
-}
-
-impl<'a> ByteCursor<'a> {
-    /// Wraps `bytes`.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], AdaSenseError> {
-        if self.bytes.len() < n {
-            return Err(AdaSenseError::shard(format!(
-                "encoding truncated: needed {n} bytes, {} left",
-                self.bytes.len()
-            )));
-        }
-        let (head, tail) = self.bytes.split_at(n);
-        self.bytes = tail;
-        Ok(head)
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, AdaSenseError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads one little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, AdaSenseError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2-byte slice")))
-    }
-
-    /// Reads one little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, AdaSenseError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8-byte slice")))
-    }
-
-    /// Reads one little-endian `f64` bit pattern.
-    pub fn f64(&mut self) -> Result<f64, AdaSenseError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Fails unless every byte has been consumed.
-    pub fn finish(&self) -> Result<(), AdaSenseError> {
-        if self.bytes.is_empty() {
-            Ok(())
-        } else {
-            Err(AdaSenseError::shard(format!(
-                "{} trailing bytes after the encoded value",
-                self.bytes.len()
-            )))
-        }
-    }
-}
-
-/// Writes a `u16`-length-prefixed UTF-8 string.
-pub(crate) fn encode_str(out: &mut Vec<u8>, s: &str) {
-    assert!(s.len() <= u16::MAX as usize, "label longer than a spool string frame");
-    out.extend_from_slice(&(s.len() as u16).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Reads a `u16`-length-prefixed UTF-8 string.
-pub(crate) fn decode_str(cursor: &mut ByteCursor<'_>) -> Result<String, AdaSenseError> {
-    let len = cursor.u16()? as usize;
-    let bytes = cursor.take(len)?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| AdaSenseError::shard("label is not valid UTF-8"))
 }
 
 #[cfg(test)]
@@ -1669,6 +1598,26 @@ mod tests {
         bad_kind[12] = 0x7f;
         let outcome: Result<Vec<_>, _> = SpoolReader::new(&bad_kind[..]).unwrap().collect();
         assert!(outcome.is_err());
+    }
+
+    #[test]
+    fn spool_with_nonzero_header_flags_is_rejected() {
+        let mut bytes = Vec::new();
+        SpoolWriter::new(&mut bytes).unwrap().finish().unwrap();
+        assert!(SpoolReader::new(&bytes[..]).is_ok());
+        bytes[6] = 1;
+        assert!(SpoolReader::new(&bytes[..]).is_err(), "non-zero flags must be rejected");
+    }
+
+    #[test]
+    fn sketch_bucket_counts_that_overflow_are_rejected() {
+        // Two buckets whose counts wrap a u64 to exactly the header's count.
+        let mut bytes = Vec::new();
+        for word in [1, 0, 2, 10, u64::MAX, 11, 2] {
+            bytes.extend_from_slice(&u64::to_le_bytes(word));
+        }
+        let mut cursor = ByteCursor::new(&bytes);
+        assert!(QuantileSketch::decode_from(&mut cursor).is_err());
     }
 
     #[test]

@@ -9,7 +9,6 @@
 
 #![cfg(unix)]
 
-use std::io::Cursor;
 use std::sync::{mpsc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -110,8 +109,10 @@ fn static_reference(
     let feeds = traces
         .iter()
         .map(|(device_id, trace)| {
-            let source = SocketSource::from_reader(Cursor::new(trace.encode()))
-                .expect("a recorded trace replays");
+            // A ring holding the whole trace, its sender dropped: an
+            // in-memory replay with no socket.
+            let (mut sender, source) = telemetry_channel(trace.len() + 1);
+            sender.send_trace(trace).expect("the ring holds the whole trace");
             churn_feed(fleet, *device_id, source, cases[*device_id as usize])
         })
         .collect();
