@@ -1,6 +1,7 @@
 //! Benchmarks of the sensor substrate backing Table I and Fig. 2: the duty-cycle
-//! energy model and the simulated accelerometer capture path.
+//! energy model, the simulated accelerometer capture path and its noise stage.
 
+use adasense_sensor::noise::scaled_gaussian;
 use adasense_sensor::prelude::*;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
@@ -52,5 +53,22 @@ fn bench_capture(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_energy_model, bench_capture);
+/// The noise stage alone: one F100_A128 window's worth of draws (200 samples
+/// × 3 axes) at that configuration's output noise std.
+fn bench_noise(c: &mut Criterion) {
+    let config = SensorConfig::new(SamplingFrequency::F100, AveragingWindow::A128);
+    let std = NoiseModel::bmi160().output_noise_std_g(config);
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut window = vec![0.0; 600];
+    c.bench_function("noise/scaled_gaussian_600", |b| {
+        b.iter(|| {
+            for value in &mut window {
+                *value = scaled_gaussian(black_box(std), &mut rng);
+            }
+            black_box(&window);
+        })
+    });
+}
+
+criterion_group!(benches, bench_energy_model, bench_capture, bench_noise);
 criterion_main!(benches);

@@ -14,7 +14,8 @@
 //!    average (a Dirichlet factor per sinusoid), falling back to sampling the
 //!    internal grid ([`box_average_by_sampling`]) only where an averaging span
 //!    crosses a segment cross-fade.
-//! 2. It adds averaging-dependent Gaussian measurement noise (the other mechanism).
+//! 2. It adds averaging-dependent Gaussian measurement noise (the other mechanism),
+//!    drawn by the ziggurat sampler [`crate::noise::gaussian`].
 //! 3. It quantizes to the 16-bit ±2 g range of the BMI160.
 
 use std::cell::Cell;
@@ -154,7 +155,11 @@ impl Accelerometer {
     /// The averaging stage is one [`SignalSource::box_average_run`] call for the
     /// whole window, so a source with a closed form (the activity models of
     /// `adasense-data`) never walks the internal grid; the noise and
-    /// quantization stages then run per sample in a fixed RNG draw order.
+    /// quantization stages then run per sample.  Noise values are drawn in a
+    /// fixed order (sample by sample, x then y then z), but the ziggurat
+    /// sampler redraws a rejected point, so the number of `u64` words a window
+    /// takes from `rng` varies with the stream: anything that shares `rng`
+    /// after a capture must not assume a fixed count.
     pub fn capture_into<S, R>(
         &self,
         source: &S,
