@@ -8,10 +8,13 @@
 //! low-power under-sampling path is noisier than the normal-mode filter chain).
 //!
 //! Every synthetic noise value comes from [`gaussian`], a 256-layer
-//! Marsaglia–Tsang ziggurat whose layer tables are committed constants, so a
-//! seeded stream yields the same values on every platform.  Most values cost
-//! one `u64` draw; a rejected point draws again, so the number of `u64` words
-//! consumed per value is not fixed.
+//! Marsaglia–Tsang ziggurat whose layer tables are committed constants.  Its
+//! fast path (~98.5% of values) uses no libm call, so no platform can move
+//! those values; the rare wedge and tail paths call the platform's `exp` and
+//! `ln`, and a last-ulp difference there could flip one accept/reject
+//! decision and with it the rest of the stream.  Most values cost one `u64`
+//! draw; a rejected point draws again, so the number of `u64` words consumed
+//! per value is not fixed.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -351,17 +354,6 @@ mod tests {
         }
         // Nothing was drawn: the stream is where a fresh one starts.
         assert_eq!(rng.random::<u64>(), StdRng::seed_from_u64(1).random::<u64>());
-    }
-
-    #[test]
-    fn gaussian_sampler_has_plausible_moments() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let n = 20_000;
-        let values: Vec<f64> = (0..n).map(|_| gaussian(&mut rng)).collect();
-        let mean = values.iter().sum::<f64>() / n as f64;
-        let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.03, "mean {mean} too far from 0");
-        assert!((var - 1.0).abs() < 0.05, "variance {var} too far from 1");
     }
 
     #[test]
