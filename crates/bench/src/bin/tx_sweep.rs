@@ -27,10 +27,20 @@
 use adasense::dse::TxExploration;
 use adasense::prelude::*;
 use adasense_bench::{int_arg, train_system, RunScale};
+use adasense_data::DatasetSpec;
 
 /// Compressed points may give up at most this much accuracy vs transmit-raw
 /// (one point — the same budget the backend sweep grants int8 and cascade).
 const ISO_ACCURACY_BUDGET: f64 = 0.01;
+
+/// Windows per class and configuration the exploration draws at either
+/// scale.  The gate compares accuracies to within one point, so one point
+/// must be worth several held-out windows: 300 per class gives 360 per
+/// repeat, where the quick spec's 20 would give 24 and one misclassified
+/// window would be 4.2 points.  At this size and two repeats, the widest gap
+/// the gate checks (F100_A128 cx4 vs raw) measures 0.31 ± 0.18 points over 16
+/// spec seeds.
+const GATE_WINDOWS_PER_CLASS: usize = 300;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scale = RunScale::from_args();
@@ -41,9 +51,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (spec, system) = train_system(scale)?;
 
     // --- The transmission-aware design space -----------------------------
-    let exploration = TxExploration::new(spec.clone())
+    let windows_per_class_per_config =
+        spec.dataset.windows_per_class_per_config.max(GATE_WINDOWS_PER_CLASS);
+    let exploration_spec = ExperimentSpec {
+        dataset: DatasetSpec { windows_per_class_per_config, ..spec.dataset.clone() },
+        ..spec.clone()
+    };
+    let exploration = TxExploration::new(exploration_spec)
         .with_ratios(vec![2, 4])
-        .with_repeats(if scale == RunScale::Quick { 1 } else { 3 });
+        .with_repeats(if scale == RunScale::Quick { 2 } else { 3 });
     eprintln!(
         "[tx_sweep] exploring {} configurations × (raw, features, {} ratios)…",
         exploration.candidates.len(),

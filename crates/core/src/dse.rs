@@ -315,7 +315,13 @@ impl TxExploration {
                 let outcome = trainer.train(&self.spec.architecture, &train_x, &train_y, seed);
                 clean_sum += accuracy(&outcome.model, &test_x, &test_y);
                 for (k, &ratio) in self.ratios.iter().enumerate() {
-                    let (x, y) = reconstructed_features(&extractor, &split.test, ratio, seed);
+                    let (x, y) = reconstructed_features(
+                        &extractor,
+                        &split.test,
+                        self.spec.dataset.window_s,
+                        ratio,
+                        seed,
+                    );
                     compressed_sum[k] += accuracy(&outcome.model, &x, &y);
                 }
                 window_len = split.test.iter().next().map(|w| w.samples.len()).unwrap_or(0);
@@ -360,13 +366,15 @@ impl TxExploration {
     }
 }
 
-/// Extracts features from `windows` after simulating the compressed transport:
-/// each axis is sparsely projected down by `ratio` and reconstructed the way
-/// the host-side decode stage would, so the classifier sees exactly what a
-/// compressed payload delivers.  Deterministic in `(seed, window index)`.
+/// Extracts features from `windows` (each `window_s` seconds long) after
+/// simulating the compressed transport: each axis is sparsely projected down
+/// by `ratio` and reconstructed the way the host-side decode stage would, so
+/// the classifier sees exactly what a compressed payload delivers.
+/// Deterministic in `(seed, window index)`.
 fn reconstructed_features(
     extractor: &FeatureExtractor,
     windows: &WindowDataset,
+    window_s: f64,
     ratio: u32,
     seed: u64,
 ) -> (Vec<Vec<f64>>, Vec<usize>) {
@@ -397,7 +405,7 @@ fn reconstructed_features(
                     };
                 }
                 projection.project_into(&axis, &mut measurements);
-                projection.reconstruct_into(&measurements, &mut recon, &mut scratch);
+                projection.reconstruct_into(&measurements, window_s, &mut recon, &mut scratch);
                 for (sample, value) in samples.iter_mut().zip(recon.iter()) {
                     match axis_index {
                         0 => sample.x = *value,
@@ -453,10 +461,17 @@ mod tests {
     #[test]
     fn tx_exploration_prices_every_policy_and_finds_a_front() {
         let config = SensorConfig::new(SamplingFrequency::F25, AveragingWindow::A32);
-        let dse = TxExploration::new(tiny_spec())
+        // Sized for the accuracy assertion below: over 40 spec seeds the cx2
+        // gap to raw measures 14.4 ± 2.5 points with 48 windows per class and
+        // three repeats, against 21 ± 19 points with six windows and one.
+        let spec = ExperimentSpec {
+            dataset: DatasetSpec { windows_per_class_per_config: 48, ..DatasetSpec::quick() },
+            ..tiny_spec()
+        };
+        let dse = TxExploration::new(spec)
             .with_candidates(vec![config])
             .with_ratios(vec![2, 4])
-            .with_repeats(1);
+            .with_repeats(3);
         let report = dse.run().expect("tx exploration succeeds");
         assert_eq!(report.evaluations.len(), 4, "raw + features + two compressed ratios");
         assert!(!report.pareto.is_empty());

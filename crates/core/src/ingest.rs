@@ -667,7 +667,7 @@ fn decode_compressed_payload(
         for (slot, [value]) in measurements.iter_mut().zip(cursor.f64_rows(coeffs)?) {
             *slot = value;
         }
-        projection.reconstruct_into(&measurements, &mut axis, &mut scratch);
+        projection.reconstruct_into(&measurements, batch.window_s, &mut axis, &mut scratch);
         for (sample, &value) in batch.samples.iter_mut().zip(&axis) {
             match axis_index {
                 0 => sample.x = value,

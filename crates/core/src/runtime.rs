@@ -633,6 +633,7 @@ impl<'a, S: SampleSource> DeviceRuntime<'a, S> {
                 projection.project_into(&self.tx.axis, &mut self.tx.measurements);
                 projection.reconstruct_into(
                     &self.tx.measurements,
+                    self.window_s,
                     &mut self.tx.recon,
                     &mut self.tx.scratch,
                 );

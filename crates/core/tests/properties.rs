@@ -270,7 +270,7 @@ proptest! {
                 };
             }
             projection.project_into(&axis, &mut measurements);
-            projection.reconstruct_into(&measurements, &mut reconstructed, &mut scratch);
+            projection.reconstruct_into(&measurements, window_s, &mut reconstructed, &mut scratch);
             for (sample, &expected) in decoded.samples.iter().zip(&reconstructed) {
                 let got = match axis_index {
                     0 => sample.x,

@@ -13,12 +13,13 @@
 //! * **Host side** — [`SparseProjection::reconstruct_into`]: a deterministic
 //!   Landweber (gradient) solve of the projection in a truncated DCT model.
 //!   Accelerometer windows are dominated by low frequencies, so fitting the
-//!   lowest `k = m/2` DCT coefficients to the `m` measurements is an
-//!   overdetermined least-squares problem that reconstructs smooth windows
-//!   faithfully — exactly the property the unified feature vector (means,
-//!   standard deviations, low-frequency Fourier magnitudes) depends on.
+//!   DCT coefficients below [`RECONSTRUCT_BAND_HZ`] (at most `m/2` of them)
+//!   to the `m` measurements is an overdetermined least-squares problem that
+//!   reconstructs the band the unified feature vector (means, standard
+//!   deviations, 1–3 Hz Fourier magnitudes) reads.
 //!
-//! Both directions are pure functions of `(seed, lengths, input)` with a fixed
+//! Both directions are pure functions of `(seed, lengths, window length,
+//! input)` with a fixed
 //! iteration count and no data-dependent branching, so a fixed seed gives
 //! bit-identical results on every run — the determinism contract the wire
 //! format's replay guarantees extend to compressed frames.
@@ -29,6 +30,15 @@
 /// converge to well below the sensor's own noise floor; being a constant keeps
 /// reconstruction a pure function of its inputs.
 const RECONSTRUCT_ITERS: usize = 40;
+
+/// Highest frequency, in Hz, that [`SparseProjection::reconstruct_into`]
+/// models: the feature vector's top Fourier probe (3 Hz) plus a 1 Hz guard.
+///
+/// The measurements also carry the window's content above the band; the fit
+/// folds it into the fitted coefficients as noise, and each coefficient fitted
+/// raises that noise gain, so coefficients above the band the features read
+/// cost accuracy and buy none.
+pub const RECONSTRUCT_BAND_HZ: f64 = 4.0;
 
 /// splitmix64 finalizer — the same mixing the fleet uses for device seeding.
 fn splitmix64(mut z: u64) -> u64 {
@@ -55,7 +65,7 @@ fn splitmix64(mut z: u64) -> u64 {
 ///
 /// let mut restored = vec![0.0; window.len()];
 /// let mut scratch = Default::default();
-/// projection.reconstruct_into(&compressed, &mut restored, &mut scratch);
+/// projection.reconstruct_into(&compressed, 2.0, &mut restored, &mut scratch);
 /// let err: f64 = window.iter().zip(&restored).map(|(a, b)| (a - b).powi(2)).sum();
 /// let norm: f64 = window.iter().map(|a| a * a).sum();
 /// assert!(err / norm < 0.05, "smooth windows survive 2x compression");
@@ -160,20 +170,23 @@ impl SparseProjection {
         }
     }
 
-    /// Number of DCT coefficients the reconstruction model fits: half the
-    /// measurement count keeps the least-squares system overdetermined and
-    /// well conditioned while covering the low-frequency band the unified
-    /// feature vector reads.
-    fn model_dim(&self) -> usize {
-        (self.output_len / 2).clamp(1, self.input_len.max(1))
+    /// Number of DCT coefficients the reconstruction model fits for a window
+    /// of `window_s` seconds: those below [`RECONSTRUCT_BAND_HZ`] (DCT-II row
+    /// `j` oscillates at `j / (2 · window_s)` Hz), and never more than half
+    /// the measurement count, which keeps the least-squares system
+    /// overdetermined and well conditioned.
+    fn model_dim(&self, window_s: f64) -> usize {
+        let band = (2.0 * window_s * RECONSTRUCT_BAND_HZ).ceil();
+        let band = if band >= 1.0 { band as usize } else { 1 };
+        band.min(self.output_len / 2).clamp(1, self.input_len.max(1))
     }
 
-    /// Reconstructs an `input_len`-sample window from its `output_len`
-    /// measurements by a fixed-iteration Landweber least-squares fit of a
-    /// truncated DCT model (see the module docs).
+    /// Reconstructs an `input_len`-sample window spanning `window_s` seconds
+    /// from its `output_len` measurements by a fixed-iteration Landweber
+    /// least-squares fit of a truncated DCT model (see the module docs).
     ///
-    /// Deterministic: identical `(seed, measurements)` produce bit-identical
-    /// output on every call.  `scratch` is reused across calls and grows to
+    /// Deterministic: identical `(seed, window_s, measurements)` produce
+    /// bit-identical output on every call.  `scratch` is reused across calls and grows to
     /// the largest problem dimensions seen.
     ///
     /// # Panics
@@ -183,12 +196,13 @@ impl SparseProjection {
     pub fn reconstruct_into(
         &self,
         measurements: &[f64],
+        window_s: f64,
         output: &mut [f64],
         scratch: &mut ProjectionScratch,
     ) {
         assert_eq!(measurements.len(), self.output_len, "reconstruction input length mismatch");
         assert_eq!(output.len(), self.input_len, "reconstruction output length mismatch");
-        let (n, m, k) = (self.input_len, self.output_len, self.model_dim());
+        let (n, m, k) = (self.input_len, self.output_len, self.model_dim(window_s));
         if n == 0 {
             return;
         }
@@ -311,8 +325,8 @@ mod tests {
         let mut ra = vec![0.0; window.len()];
         let mut rb = vec![0.0; window.len()];
         let mut scratch = ProjectionScratch::default();
-        projection.reconstruct_into(&a, &mut ra, &mut scratch);
-        projection.reconstruct_into(&a, &mut rb, &mut scratch);
+        projection.reconstruct_into(&a, 2.0, &mut ra, &mut scratch);
+        projection.reconstruct_into(&a, 2.0, &mut rb, &mut scratch);
         assert!(ra.iter().zip(&rb).all(|(x, y)| x.to_bits() == y.to_bits()));
     }
 
@@ -337,10 +351,20 @@ mod tests {
             let mut compressed = vec![0.0; projection.output_len()];
             projection.project_into(&window, &mut compressed);
             let mut restored = vec![0.0; window.len()];
-            projection.reconstruct_into(&compressed, &mut restored, &mut scratch);
+            projection.reconstruct_into(&compressed, 2.0, &mut restored, &mut scratch);
             let err = relative_error(&window, &restored);
             assert!(err < budget, "ratio {ratio}: relative error {err} above {budget}");
         }
+    }
+
+    #[test]
+    fn the_model_covers_the_feature_band_within_half_the_measurements() {
+        // A 2 s window: DCT rows below 4 Hz are j < 16.
+        assert_eq!(SparseProjection::new(1, 200, 2).model_dim(2.0), 16, "the band binds");
+        assert_eq!(SparseProjection::new(1, 200, 4).model_dim(2.0), 16, "the band binds");
+        assert_eq!(SparseProjection::new(1, 50, 2).model_dim(2.0), 12, "m / 2 binds");
+        assert_eq!(SparseProjection::new(1, 200, 2).model_dim(1.0), 8, "shorter window");
+        assert_eq!(SparseProjection::new(1, 10, 2).model_dim(0.0), 1, "at least one");
     }
 
     #[test]
@@ -353,7 +377,8 @@ mod tests {
         let mut compressed = vec![0.0; projection.output_len()];
         projection.project_into(&window, &mut compressed);
         let mut restored = vec![0.0; window.len()];
-        projection.reconstruct_into(&compressed, &mut restored, &mut ProjectionScratch::default());
+        let mut scratch = ProjectionScratch::default();
+        projection.reconstruct_into(&compressed, 2.0, &mut restored, &mut scratch);
         let mean = window.iter().sum::<f64>() / window.len() as f64;
         let restored_mean = restored.iter().sum::<f64>() / restored.len() as f64;
         assert!((mean - restored_mean).abs() < 0.05 * mean.abs().max(1.0));
@@ -368,7 +393,7 @@ mod tests {
         let mut out = [0.0];
         tiny.project_into(&[2.5], &mut out);
         let mut restored = [0.0];
-        tiny.reconstruct_into(&out, &mut restored, &mut ProjectionScratch::default());
+        tiny.reconstruct_into(&out, 0.01, &mut restored, &mut ProjectionScratch::default());
         assert!(restored[0].is_finite());
     }
 
